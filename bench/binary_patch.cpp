@@ -83,8 +83,8 @@ int main() {
   std::printf("%s\n", table.render().c_str());
   std::printf(
       "zolcscan recovers nearly the full uZOLC benefit of the recompiling\n"
-      "flow (compare bench/ablation_variants) from unmodified binaries;\n"
-      "loops it cannot prove safe (multi-exit, live-out index, branches\n"
-      "into the patched tail) are skipped with a reason.\n");
+      "flow (compare scenarios/ablation_variants.json) from unmodified\n"
+      "binaries; loops it cannot prove safe (multi-exit, live-out index,\n"
+      "branches into the patched tail) are skipped with a reason.\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 # CLI smoke test: run `zolcsim sweep` on one kernel and validate the CSV
-# schema against the checked-in golden header, then run one checked-in
-# scenario suite through `sweep --from-file`. Invoked by CTest as
+# schema against the checked-in golden header, run one checked-in scenario
+# suite through `sweep --from-file`, then `run --mode` with tenants on an
+# ISS tier (ok) and on the pipeline (bad-config). Invoked by CTest as
 #   cmake -DCLI=<zolcsim> -DGOLDEN=<sweep_header.csv> -DOUT=<scratch.csv>
 #        -DSUITE=<scenarios/fig2_cycles.json> -P cli_smoke.cmake
 # Guards the CLI wiring end-to-end (arg parsing -> sweep engine -> CSV
@@ -50,4 +51,29 @@ if(NOT suite_header STREQUAL expected)
   message(FATAL_ERROR
       "suite CSV header drifted from the golden schema\n"
       "  produced: ${suite_header}\n  expected: ${expected}")
+endif()
+
+# `run` takes the request codec's --mode grammar. Tenants on the ISS tiers
+# run; on the pipeline they are flow::run's bad-config error (exit 1), the
+# same error the serve daemon replies with.
+execute_process(
+  COMMAND ${CLI} run matmul --mode=iss-fast --tenants=2
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE stderr_text
+)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+      "zolcsim run --mode=iss-fast --tenants=2 failed (${rc}): ${stderr_text}")
+endif()
+execute_process(
+  COMMAND ${CLI} run matmul --mode=pipeline --tenants=2
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE stderr_text
+)
+if(NOT rc EQUAL 1 OR NOT stderr_text MATCHES "error\\[bad-config\\]")
+  message(FATAL_ERROR
+      "zolcsim run --mode=pipeline --tenants=2 must exit 1 with "
+      "error[bad-config], got ${rc}: ${stderr_text}")
 endif()

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/csv.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "flow/cache.hpp"
 #include "flow/run.hpp"
@@ -24,21 +25,6 @@ struct CellOutcome {
   ExperimentResult result;
   Error error;
 };
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -249,10 +235,10 @@ std::string SweepReport::to_json() const {
           const ExperimentResult& r = at(k, m, c, g, x, t);
           if (!first) out += ",\n";
           first = false;
-          out += "    {\"kernel\": \"" + json_escape(kernels[k]) +
+          out += "    {\"kernel\": \"" + json::escape(kernels[k]) +
                  "\", \"machine\": \"" +
                  std::string(codegen::machine_name(machines[m])) +
-                 "\", \"config\": \"" + json_escape(config_name(configs[c])) +
+                 "\", \"config\": \"" + json::escape(config_name(configs[c])) +
                  "\", ";
           if (with_geometry) {
             out += "\"geometry\": \"" + geometries[g].label() + "\", ";

@@ -5,325 +5,87 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
-#include "kernels/kernels.hpp"
 #include "scenario/parse.hpp"
 
 namespace zolcsim::scenario {
 
 namespace {
 
-Error shape_error(std::string_view origin, std::string msg) {
-  return Error{ErrorCode::kParse, std::move(msg)}.with_context(
-      "suite " + std::string(origin));
-}
-
-Error config_error(std::string_view origin, std::string msg) {
-  return Error{ErrorCode::kBadConfig, std::move(msg)}.with_context(
-      "suite " + std::string(origin));
-}
-
-std::string quoted(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '\'';
-  out += s;
-  out += '\'';
-  return out;
-}
-
-/// Member as an array of strings; an absent member yields an empty vector.
-Result<std::vector<std::string>> string_list(const json::Value& object,
-                                             std::string_view key,
-                                             std::string_view origin) {
-  std::vector<std::string> out;
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return out;
-  if (!member->is_array()) {
-    return shape_error(origin, quoted(key) + " must be an array");
-  }
-  for (const json::Value& item : member->items()) {
-    if (!item.is_string()) {
-      return shape_error(origin, quoted(key) + " must contain only strings");
-    }
-    out.push_back(item.as_string());
-  }
-  return out;
-}
-
-/// Member as an unsigned integer with a default; rejects non-integers.
-Result<std::uint64_t> uint_member(const json::Value& object,
-                                  std::string_view key,
-                                  std::uint64_t fallback,
-                                  std::string_view origin) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return fallback;
-  const auto n = member->as_uint();
-  if (!n) {
-    return shape_error(origin,
-                       quoted(key) + " must be a non-negative integer");
-  }
-  return *n;
-}
-
-Result<void> parse_sweep(const json::Value& sweep, Suite& suite,
-                         std::string_view origin) {
-  static constexpr std::string_view kKnown[] = {
-      "kernels",    "machines", "configs",     "geometries", "modes",
-      "tenants",    "baseline", "max_cycles",  "env",        "timing_reps",
-      "warm_start"};
-  for (const auto& [key, value] : sweep.members()) {
-    (void)value;
-    bool known = false;
-    for (const std::string_view k : kKnown) known |= key == k;
-    if (!known) {
-      return shape_error(origin, "unknown sweep member '" + key + "'");
-    }
-  }
-
-  auto kernels = string_list(sweep, "kernels", origin);
-  if (!kernels.ok()) return std::move(kernels).error();
-  suite.sweep.kernels = std::move(kernels).value();
-  for (const std::string& name : suite.sweep.kernels) {
-    if (kernels::find_kernel(name) == nullptr) {
-      return Error{ErrorCode::kUnknownKernel,
-                   "unknown kernel '" + name + "'"}
-          .with_context("suite " + std::string(origin));
-    }
-  }
-
-  auto machines = string_list(sweep, "machines", origin);
-  if (!machines.ok()) return std::move(machines).error();
-  for (const std::string& name : machines.value()) {
-    auto machine = parse_machine(name);
-    if (!machine.ok()) {
-      return std::move(machine).error().with_context("suite " +
-                                                     std::string(origin));
-    }
-    suite.sweep.machines.push_back(machine.value());
-  }
-
-  auto configs = string_list(sweep, "configs", origin);
-  if (!configs.ok()) return std::move(configs).error();
-  for (const std::string& name : configs.value()) {
-    auto config = parse_config(name);
-    if (!config.ok()) {
-      return std::move(config).error().with_context("suite " +
-                                                    std::string(origin));
-    }
-    suite.sweep.configs.push_back(config.value());
-  }
-
-  auto geometries = string_list(sweep, "geometries", origin);
-  if (!geometries.ok()) return std::move(geometries).error();
-  for (const std::string& name : geometries.value()) {
-    auto geometry = parse_geometry(name);
-    if (!geometry.ok()) {
-      return std::move(geometry).error().with_context("suite " +
-                                                      std::string(origin));
-    }
-    suite.sweep.geometries.push_back(geometry.value());
-  }
-
-  auto modes = string_list(sweep, "modes", origin);
-  if (!modes.ok()) return std::move(modes).error();
-  for (const std::string& name : modes.value()) {
-    auto mode = parse_mode(name);
-    if (!mode.ok()) {
-      return std::move(mode).error().with_context("suite " +
-                                                  std::string(origin));
-    }
-    suite.sweep.modes.push_back(mode.value());
-  }
-
-  if (const json::Value* tenants = sweep.find("tenants")) {
-    if (!tenants->is_array()) {
-      return shape_error(origin,
-                         "'tenants' must be an array of positive integers");
-    }
-    for (const json::Value& item : tenants->items()) {
-      const auto count = item.as_uint();
-      if (!count || *count == 0 || *count > 64) {
-        return config_error(origin,
-                            "'tenants' entries must be integers in [1, 64]");
-      }
-      suite.sweep.tenants.push_back(static_cast<unsigned>(*count));
-    }
-  }
-
-  if (const json::Value* baseline = sweep.find("baseline")) {
-    if (!baseline->is_string()) {
-      return shape_error(origin, "'baseline' must be a machine name string");
-    }
-    auto machine = parse_machine(baseline->as_string());
-    if (!machine.ok()) {
-      return std::move(machine).error().with_context("suite " +
-                                                     std::string(origin));
-    }
-    suite.sweep.baseline = machine.value();
-  }
-
-  auto max_cycles =
-      uint_member(sweep, "max_cycles", suite.sweep.max_cycles, origin);
-  if (!max_cycles.ok()) return std::move(max_cycles).error();
-  if (max_cycles.value() == 0) {
-    return config_error(origin, "'max_cycles' must be positive");
-  }
-  suite.sweep.max_cycles = max_cycles.value();
-
-  auto timing_reps =
-      uint_member(sweep, "timing_reps", suite.sweep.timing_reps, origin);
-  if (!timing_reps.ok()) return std::move(timing_reps).error();
-  if (timing_reps.value() == 0 || timing_reps.value() > 1000) {
-    return config_error(origin, "'timing_reps' must be in [1, 1000]");
-  }
-  suite.sweep.timing_reps = timing_reps.value();
-
-  if (const json::Value* warm = sweep.find("warm_start")) {
-    if (!warm->is_string()) {
-      return shape_error(origin,
-                         "'warm_start' must be \"warm\", \"cold\", or "
-                         "\"both\"");
-    }
-    const std::string_view mode = warm->as_string();
-    if (mode == "warm") {
-      suite.warm_start = WarmStart::kWarm;
-    } else if (mode == "cold") {
-      suite.warm_start = WarmStart::kCold;
-    } else if (mode == "both") {
-      suite.warm_start = WarmStart::kBoth;
-    } else {
-      return config_error(origin,
-                          "bad 'warm_start' value " + quoted(mode) +
-                              " (want warm, cold, or both)");
-    }
-    // kBoth leaves sweep.warm_start at its default; the runner overrides
-    // it per pass.
-    if (suite.warm_start != WarmStart::kBoth) {
-      suite.sweep.warm_start = suite.warm_start == WarmStart::kWarm;
-    }
-  }
-
-  if (const json::Value* env = sweep.find("env")) {
-    if (!env->is_object()) {
-      return shape_error(origin, "'env' must be an object");
-    }
-    for (const auto& [key, value] : env->members()) {
-      (void)value;
-      if (key != "scale" && key != "seed") {
-        return shape_error(origin, "unknown env member '" + key + "'");
-      }
-    }
-    auto scale = uint_member(*env, "scale", suite.sweep.env.scale, origin);
-    if (!scale.ok()) return std::move(scale).error();
-    if (scale.value() == 0 || scale.value() > 0xFFFF) {
-      return config_error(origin, "env 'scale' out of range");
-    }
-    suite.sweep.env.scale = static_cast<unsigned>(scale.value());
-    auto seed = uint_member(*env, "seed", suite.sweep.env.seed, origin);
-    if (!seed.ok()) return std::move(seed).error();
-    if (seed.value() > 0xFFFF'FFFFull) {
-      return config_error(origin, "env 'seed' must fit 32 bits");
-    }
-    suite.sweep.env.seed = static_cast<std::uint32_t>(seed.value());
-  }
-  return {};
-}
-
 Result<void> parse_expect(const json::Value& expect, Suite& suite,
-                          std::string_view origin) {
-  for (const auto& [key, value] : expect.members()) {
-    (void)value;
-    if (key != "csv_fnv1a64" && key != "thresholds") {
-      return shape_error(origin, "unknown expect member '" + key + "'");
-    }
+                          std::string_view where) {
+  if (auto strict = reject_unknown_members(
+          expect, {"csv_fnv1a64", "thresholds"}, "expect", where);
+      !strict.ok()) {
+    return strict;
   }
-  if (const json::Value* hash = expect.find("csv_fnv1a64")) {
-    if (!hash->is_string()) {
-      return shape_error(origin,
-                         "'csv_fnv1a64' must be a 16-hex-digit string");
-    }
-    const auto digest = parse_hex64(hash->as_string());
+  auto hash = string_member(expect, "csv_fnv1a64", where);
+  if (!hash.ok()) return std::move(hash).error();
+  if (hash.value()) {
+    const auto digest = parse_hex64(*hash.value());
     if (!digest) {
-      return config_error(origin, "bad 'csv_fnv1a64' digest '" +
-                                      hash->as_string() + "'");
+      return config_error("bad 'csv_fnv1a64' digest '" + *hash.value() + "'",
+                          where);
     }
     suite.expect_csv_fnv1a64 = *digest;
   }
   const json::Value* thresholds = expect.find("thresholds");
   if (thresholds == nullptr) return {};
   if (!thresholds->is_array()) {
-    return shape_error(origin, "'thresholds' must be an array");
+    return shape_error("'thresholds' must be an array", where);
   }
   for (const json::Value& entry : thresholds->items()) {
     if (!entry.is_object()) {
-      return shape_error(origin, "each threshold must be an object");
+      return shape_error("each threshold must be an object", where);
     }
-    static constexpr std::string_view kKnown[] = {
-        "kernel",   "machine",    "config",  "geometry",
-        "mode",     "max_cycles", "min_mips"};
-    for (const auto& [key, value] : entry.members()) {
-      (void)value;
-      bool known = false;
-      for (const std::string_view k : kKnown) known |= key == k;
-      if (!known) {
-        return shape_error(origin, "unknown threshold member '" + key + "'");
-      }
+    if (auto strict = reject_unknown_members(
+            entry,
+            {"kernel", "machine", "config", "geometry", "mode", "max_cycles",
+             "min_mips"},
+            "threshold", where);
+        !strict.ok()) {
+      return strict;
     }
     Threshold t;
-    for (const char* required : {"kernel", "machine"}) {
-      const json::Value* member = entry.find(required);
-      if (member == nullptr || !member->is_string()) {
-        return shape_error(origin, std::string("threshold needs a string '") +
-                                       required + "'");
-      }
+    const std::pair<std::string_view, std::string*> fields[] = {
+        {"kernel", &t.kernel},
+        {"machine", &t.machine},
+        {"config", &t.config},
+        {"geometry", &t.geometry},
+        {"mode", &t.mode}};
+    for (const auto& [key, field] : fields) {
+      auto value = string_member(entry, key, where);
+      if (!value.ok()) return std::move(value).error();
+      if (value.value()) *field = std::move(*value.value());
     }
-    t.kernel = entry.find("kernel")->as_string();
-    t.machine = entry.find("machine")->as_string();
+    if (t.kernel.empty() || t.machine.empty()) {
+      return shape_error("threshold needs a 'kernel' and a 'machine'", where);
+    }
     if (auto machine = parse_machine(t.machine); !machine.ok()) {
-      return std::move(machine).error().with_context("suite " +
-                                                     std::string(origin));
+      return std::move(machine).error().with_context(std::string(where));
     }
-    if (const json::Value* config = entry.find("config")) {
-      if (!config->is_string()) {
-        return shape_error(origin, "threshold 'config' must be a string");
+    if (!t.mode.empty()) {
+      if (auto mode = parse_mode(t.mode); !mode.ok()) {
+        return std::move(mode).error().with_context(std::string(where));
       }
-      t.config = config->as_string();
     }
-    if (const json::Value* geometry = entry.find("geometry")) {
-      if (!geometry->is_string()) {
-        return shape_error(origin, "threshold 'geometry' must be a string");
-      }
-      t.geometry = geometry->as_string();
-    }
-    if (const json::Value* mode = entry.find("mode")) {
-      if (!mode->is_string()) {
-        return shape_error(origin, "threshold 'mode' must be a string");
-      }
-      if (auto parsed = parse_mode(mode->as_string()); !parsed.ok()) {
-        return std::move(parsed).error().with_context(
-            "suite " + std::string(origin));
-      }
-      t.mode = mode->as_string();
-    }
-    auto max_cycles = uint_member(entry, "max_cycles", 0, origin);
+    auto max_cycles = uint_member(entry, "max_cycles", 0, where);
     if (!max_cycles.ok()) return std::move(max_cycles).error();
     t.max_cycles = max_cycles.value();
     if (const json::Value* mips = entry.find("min_mips")) {
       if (!mips->is_number() || mips->as_number() < 0) {
-        return shape_error(origin,
-                           "threshold 'min_mips' must be a non-negative "
-                           "number");
+        return shape_error(
+            "threshold 'min_mips' must be a non-negative number", where);
       }
       t.min_mips = mips->as_number();
     }
     if (t.max_cycles == 0 && t.min_mips == 0.0) {
-      return config_error(origin,
-                          "threshold on '" + t.kernel +
-                              "' checks nothing (set max_cycles or "
-                              "min_mips)");
+      return config_error("threshold on '" + t.kernel +
+                              "' checks nothing (set max_cycles or min_mips)",
+                          where);
     }
     suite.thresholds.push_back(std::move(t));
   }
@@ -332,82 +94,65 @@ Result<void> parse_expect(const json::Value& expect, Suite& suite,
 
 }  // namespace
 
-std::string_view warm_start_name(WarmStart mode) {
-  switch (mode) {
-    case WarmStart::kWarm:
-      return "warm";
-    case WarmStart::kCold:
-      return "cold";
-    case WarmStart::kBoth:
-      return "both";
-  }
-  return "warm";
-}
-
 Result<Suite> parse_suite(std::string_view text, std::string_view origin) {
+  const std::string where = "suite " + std::string(origin);
   auto document = json::parse(text);
-  if (!document.ok()) {
-    return std::move(document).error().with_context("suite " +
-                                                    std::string(origin));
-  }
+  if (!document.ok()) return std::move(document).error().with_context(where);
   const json::Value& root = document.value();
   if (!root.is_object()) {
-    return shape_error(origin, "suite document must be a JSON object");
+    return shape_error("suite document must be a JSON object", where);
   }
-  for (const auto& [key, value] : root.members()) {
-    (void)value;
-    if (key != "suite" && key != "version" && key != "description" &&
-        key != "sweep" && key != "expect") {
-      return shape_error(origin, "unknown top-level member '" + key + "'");
-    }
+  if (auto strict = reject_unknown_members(
+          root, {"suite", "version", "description", "sweep", "expect"},
+          "top-level", where);
+      !strict.ok()) {
+    return std::move(strict).error();
   }
 
   Suite suite;
-  const json::Value* name = root.find("suite");
-  if (name == nullptr || !name->is_string() || name->as_string().empty()) {
-    return shape_error(origin, "missing or empty 'suite' name");
+  auto name = string_member(root, "suite", where);
+  if (!name.ok()) return std::move(name).error();
+  if (!name.value() || name.value()->empty()) {
+    return shape_error("missing or empty 'suite' name", where);
   }
-  suite.name = name->as_string();
+  suite.name = std::move(*name.value());
   for (const char c : suite.name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
                     c == '_' || c == '-';
     if (!ok) {
-      return config_error(origin,
-                          "suite name '" + suite.name +
+      return config_error("suite name '" + suite.name +
                               "' must be [a-z0-9_-] (it names the "
-                              "BENCH_<suite>.json artifact)");
+                              "BENCH_<suite>.json artifact)",
+                          where);
     }
   }
 
-  auto version = uint_member(root, "version", 0, origin);
+  auto version = uint_member(root, "version", 0, where);
   if (!version.ok()) return std::move(version).error();
   if (version.value() != kSuiteSchemaVersion) {
-    return config_error(origin,
-                        "unsupported suite schema version " +
+    return config_error("unsupported suite schema version " +
                             std::to_string(version.value()) + " (expected " +
-                            std::to_string(kSuiteSchemaVersion) + ")");
+                            std::to_string(kSuiteSchemaVersion) + ")",
+                        where);
   }
 
-  if (const json::Value* description = root.find("description")) {
-    if (!description->is_string()) {
-      return shape_error(origin, "'description' must be a string");
-    }
-    suite.description = description->as_string();
-  }
+  auto description = string_member(root, "description", where);
+  if (!description.ok()) return std::move(description).error();
+  suite.description = description.value().value_or("");
 
   const json::Value* sweep = root.find("sweep");
   if (sweep == nullptr || !sweep->is_object()) {
-    return shape_error(origin, "missing 'sweep' object");
+    return shape_error("missing 'sweep' object", where);
   }
-  if (auto parsed = parse_sweep(*sweep, suite, origin); !parsed.ok()) {
-    return std::move(parsed).error();
-  }
+  auto warm_start = parse_sweep(*sweep, suite.sweep, where);
+  if (!warm_start.ok()) return std::move(warm_start).error();
+  suite.warm_start = warm_start.value();
 
   if (const json::Value* expect = root.find("expect")) {
     if (!expect->is_object()) {
-      return shape_error(origin, "'expect' must be an object");
+      return shape_error("'expect' must be an object", where);
     }
-    if (auto parsed = parse_expect(*expect, suite, origin); !parsed.ok()) {
+    if (auto parsed = parse_expect(*expect, suite, where); !parsed.ok()) {
       return std::move(parsed).error();
     }
   }

@@ -18,6 +18,7 @@
 
 #include "common/result.hpp"
 #include "harness/sweep.hpp"
+#include "scenario/parse.hpp"
 
 namespace zolcsim::scenario {
 
@@ -38,15 +39,6 @@ struct Threshold {
   std::uint64_t max_cycles = 0;  ///< fail when cell cycles exceed this
   double min_mips = 0.0;         ///< fail when simulated MIPS falls below
 };
-
-/// Run-path selection for a suite ("warm_start" sweep member). `kBoth`
-/// runs the grid twice -- once cold, once warm -- and fails the suite with
-/// kVerifyMismatch unless the two rendered CSVs are byte-identical; the
-/// warm run's report becomes the suite outcome.
-enum class WarmStart { kWarm, kCold, kBoth };
-
-/// Canonical spelling ("warm" / "cold" / "both").
-[[nodiscard]] std::string_view warm_start_name(WarmStart mode);
 
 /// A parsed scenario suite: grid + expectations.
 struct Suite {

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 namespace zolcsim::server {
 
@@ -130,20 +131,25 @@ Result<json::Value> Client::call(std::string_view request_payload,
   return parse_reply(payload.value());
 }
 
+std::string make_request(RequestType type, const json::Value& members) {
+  std::vector<json::Value::Member> request = {
+      {"schema", json::Value::make_string(std::string(kServeSchema))},
+      {"type",
+       json::Value::make_string(std::string(request_type_name(type)))}};
+  request.insert(request.end(), members.members().begin(),
+                 members.members().end());
+  return json::serialize(json::Value::make_object(std::move(request)));
+}
+
 std::string simple_request(RequestType type) {
-  std::string out = "{\"schema\": \"";
-  out += kServeSchema;
-  out += "\", \"type\": \"";
-  out += request_type_name(type);
-  out += "\"}";
-  return out;
+  return make_request(type, json::Value::make_object({}));
 }
 
 namespace {
 
-Result<std::string> suite_carrying_request(std::string_view suite_document,
-                                           RequestType type,
-                                           std::string_view extra_members) {
+Result<std::string> suite_carrying_request(
+    std::string_view suite_document, RequestType type,
+    std::vector<json::Value::Member> members) {
   auto parsed = json::parse(suite_document);
   if (!parsed.ok()) {
     return std::move(parsed).error().with_context("suite document");
@@ -152,16 +158,8 @@ Result<std::string> suite_carrying_request(std::string_view suite_document,
     return Error{ErrorCode::kParse, "suite document must be a JSON object"}
         .with_context("suite document");
   }
-  std::string out = "{\"schema\": \"";
-  out += kServeSchema;
-  out += "\", \"type\": \"";
-  out += request_type_name(type);
-  out += "\"";
-  out += extra_members;
-  out += ", \"suite\": ";
-  out += json::serialize(parsed.value());
-  out += "}";
-  return out;
+  members.emplace_back("suite", std::move(parsed).value());
+  return make_request(type, json::Value::make_object(std::move(members)));
 }
 
 }  // namespace
@@ -170,11 +168,11 @@ Result<std::string> sweep_request(std::string_view suite_document,
                                   bool json_format) {
   return suite_carrying_request(
       suite_document, RequestType::kSweep,
-      json_format ? ", \"format\": \"json\"" : ", \"format\": \"csv\"");
+      {{"format", json::Value::make_string(json_format ? "json" : "csv")}});
 }
 
 Result<std::string> bench_suite_request(std::string_view suite_document) {
-  return suite_carrying_request(suite_document, RequestType::kBenchSuite, "");
+  return suite_carrying_request(suite_document, RequestType::kBenchSuite, {});
 }
 
 }  // namespace zolcsim::server

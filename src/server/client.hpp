@@ -53,7 +53,10 @@ class Client {
   int fd_ = -1;
 };
 
-/// Request builders (the client half of the schema).
+/// Request builders (the client half of the schema). Every request is
+/// "schema", "type", then the members of the object `members`.
+[[nodiscard]] std::string make_request(RequestType type,
+                                       const json::Value& members);
 [[nodiscard]] std::string simple_request(RequestType type);
 
 /// Embeds a suite document (a JSON object, e.g. the text of a

@@ -1,161 +1,19 @@
 #include "server/protocol.hpp"
 
 #include <utility>
-#include <vector>
 
 #include "common/contracts.hpp"
 #include "scenario/parse.hpp"
 
 namespace zolcsim::server {
 
+using scenario::config_error;
+using scenario::shape_error;
+
 namespace {
 
-Error shape_error(std::string msg) {
-  return Error{ErrorCode::kParse, std::move(msg)}.with_context(
-      "serve request");
-}
-
-Error config_error(std::string msg) {
-  return Error{ErrorCode::kBadConfig, std::move(msg)}.with_context(
-      "serve request");
-}
-
-std::string member_error(std::string_view key, std::string_view what) {
-  std::string msg = "'";
-  msg += key;
-  msg += "' must be ";
-  msg += what;
-  return msg;
-}
-
-/// Member as a string; nullopt when absent, error when the wrong kind.
-Result<std::optional<std::string>> string_member(const json::Value& object,
-                                                 std::string_view key) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return std::optional<std::string>{};
-  if (!member->is_string()) {
-    return shape_error(member_error(key, "a string"));
-  }
-  return std::optional<std::string>{member->as_string()};
-}
-
-/// Member as a strictly positive integer; nullopt when absent.
-Result<std::optional<std::uint64_t>> positive_member(
-    const json::Value& object, std::string_view key) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return std::optional<std::uint64_t>{};
-  const auto n = member->as_uint();
-  if (!n || *n == 0) {
-    return shape_error(member_error(key, "a positive integer"));
-  }
-  return std::optional<std::uint64_t>{*n};
-}
-
-/// Member as a bool with a default.
-Result<bool> bool_member(const json::Value& object, std::string_view key,
-                         bool fallback) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_bool()) {
-    return shape_error(member_error(key, "a boolean"));
-  }
-  return member->as_bool();
-}
-
-/// Strict schema: every member of `object` must appear in `allowed`.
-Result<void> reject_unknown_members(
-    const json::Value& object, const std::vector<std::string_view>& allowed) {
-  for (const json::Value::Member& member : object.members()) {
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (member.first == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return shape_error("unknown request member '" + member.first + "'");
-    }
-  }
-  return {};
-}
-
-/// Fills spec.machine / spec.geometry from the optional request members
-/// (defaults: ZOLCfull on the paper geometry, matching the CLI verbs).
-Result<void> parse_unit_members(const json::Value& root,
-                                flow::CompileSpec& spec) {
-  auto kernel = string_member(root, "kernel");
-  if (!kernel.ok()) return std::move(kernel).error();
-  if (!kernel.value() || kernel.value()->empty()) {
-    return shape_error("a 'kernel' member is required");
-  }
-  spec.kernel = *kernel.value();
-  spec.machine = codegen::MachineKind::kZolcFull;
-  auto machine = string_member(root, "machine");
-  if (!machine.ok()) return std::move(machine).error();
-  if (machine.value()) {
-    auto parsed = scenario::parse_machine(*machine.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    spec.machine = parsed.value();
-  }
-  auto geometry = string_member(root, "geometry");
-  if (!geometry.ok()) return std::move(geometry).error();
-  if (geometry.value()) {
-    auto parsed = scenario::parse_geometry(*geometry.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    spec.geometry = parsed.value();
-  }
-  return {};
-}
-
-/// The run-plan members of a "run" request (config / mode / budgets /
-/// preemption / tenants), validated with the shared axis parsers.
-Result<void> parse_plan_members(const json::Value& root,
-                                flow::RunPlan& plan) {
-  auto config = string_member(root, "config");
-  if (!config.ok()) return std::move(config).error();
-  if (config.value()) {
-    auto parsed = scenario::parse_config(*config.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    plan.config = parsed.value();
-  }
-  auto mode = string_member(root, "mode");
-  if (!mode.ok()) return std::move(mode).error();
-  if (mode.value()) {
-    auto parsed = scenario::parse_mode(*mode.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    plan.mode = parsed.value();
-  }
-  auto cycles = positive_member(root, "max_cycles");
-  if (!cycles.ok()) return std::move(cycles).error();
-  if (cycles.value()) plan.max_cycles = *cycles.value();
-  auto tenants = positive_member(root, "tenants");
-  if (!tenants.ok()) return std::move(tenants).error();
-  if (tenants.value()) {
-    if (*tenants.value() > 64) {
-      return config_error("'tenants' must be in [1, 64]");
-    }
-    plan.tenants = static_cast<unsigned>(*tenants.value());
-  }
-  auto every = positive_member(root, "preempt_every");
-  if (!every.ok()) return std::move(every).error();
-  if (every.value()) plan.preempt_every = *every.value();
-  auto serialize = bool_member(root, "preempt_serialize", false);
-  if (!serialize.ok()) return std::move(serialize).error();
-  plan.preempt_serialize = serialize.value();
-  auto predecode = bool_member(root, "predecode", true);
-  if (!predecode.ok()) return std::move(predecode).error();
-  plan.predecode = predecode.value();
-  return {};
-}
+/// Context frame of every request-parse error.
+constexpr std::string_view kWhere = "serve request";
 
 }  // namespace
 
@@ -176,24 +34,25 @@ std::string_view request_type_name(RequestType type) {
 Result<Request> parse_request(std::string_view payload) {
   auto document = json::parse(payload);
   if (!document.ok()) {
-    return std::move(document).error().with_context("serve request");
+    return std::move(document).error().with_context(std::string(kWhere));
   }
   const json::Value& root = document.value();
   if (!root.is_object()) {
-    return shape_error("request must be a JSON object");
+    return shape_error("request must be a JSON object", kWhere);
   }
   const json::Value* schema = root.find("schema");
   if (schema == nullptr || !schema->is_string()) {
-    return shape_error("a string 'schema' member is required");
+    return shape_error("a string 'schema' member is required", kWhere);
   }
   if (schema->as_string() != kServeSchema) {
     return shape_error("unsupported schema '" + schema->as_string() +
-                       "' (this daemon speaks " + std::string(kServeSchema) +
-                       ")");
+                           "' (this daemon speaks " +
+                           std::string(kServeSchema) + ")",
+                       kWhere);
   }
   const json::Value* type_v = root.find("type");
   if (type_v == nullptr || !type_v->is_string()) {
-    return shape_error("a string 'type' member is required");
+    return shape_error("a string 'type' member is required", kWhere);
   }
   const std::string& name = type_v->as_string();
 
@@ -208,75 +67,67 @@ Result<Request> parse_request(std::string_view payload) {
     }
   }
   if (!known_type) {
-    return config_error("unknown request type '" + name + "'");
+    return config_error("unknown request type '" + name + "'", kWhere);
   }
 
+  using scenario::reject_unknown_members;
+  Result<void> parsed;
   switch (request.type) {
     case RequestType::kPing:
     case RequestType::kStoreStat:
     case RequestType::kStats:
-    case RequestType::kShutdown: {
-      if (auto strict = reject_unknown_members(root, {"schema", "type"});
-          !strict.ok()) {
-        return std::move(strict).error();
-      }
+    case RequestType::kShutdown:
+      parsed = reject_unknown_members(root, {"schema", "type"}, "request",
+                                      kWhere);
       break;
-    }
-    case RequestType::kCompile: {
-      if (auto strict = reject_unknown_members(
-              root, {"schema", "type", "kernel", "machine", "geometry"});
-          !strict.ok()) {
-        return std::move(strict).error();
-      }
-      if (auto unit = parse_unit_members(root, request.spec); !unit.ok()) {
-        return std::move(unit).error();
-      }
+    case RequestType::kCompile:
+      parsed = reject_unknown_members(
+          root, {"schema", "type", "kernel", "machine", "geometry"}, "request",
+          kWhere);
       break;
-    }
-    case RequestType::kRun: {
-      if (auto strict = reject_unknown_members(
-              root, {"schema", "type", "kernel", "machine", "geometry",
-                     "config", "mode", "max_cycles", "tenants",
-                     "preempt_every", "preempt_serialize", "predecode"});
-          !strict.ok()) {
-        return std::move(strict).error();
-      }
-      if (auto unit = parse_unit_members(root, request.spec); !unit.ok()) {
-        return std::move(unit).error();
-      }
-      if (auto plan = parse_plan_members(root, request.plan); !plan.ok()) {
-        return std::move(plan).error();
-      }
+    case RequestType::kRun:
+      parsed = reject_unknown_members(
+          root,
+          {"schema", "type", "kernel", "machine", "geometry", "config", "mode",
+           "max_cycles", "tenants", "preempt_every", "preempt_serialize",
+           "predecode"},
+          "request", kWhere);
       break;
-    }
     case RequestType::kSweep:
-    case RequestType::kBenchSuite: {
-      const bool sweep = request.type == RequestType::kSweep;
-      if (auto strict = reject_unknown_members(
-              root, sweep ? std::vector<std::string_view>{"schema", "type",
-                                                          "suite", "format"}
-                          : std::vector<std::string_view>{"schema", "type",
-                                                          "suite"});
-          !strict.ok()) {
-        return std::move(strict).error();
-      }
-      const json::Value* suite = root.find("suite");
-      if (suite == nullptr || !suite->is_object()) {
-        return shape_error("a 'suite' object member is required");
-      }
-      request.suite_text = json::serialize(*suite);
-      if (sweep) {
-        auto format = string_member(root, "format");
-        if (!format.ok()) return std::move(format).error();
-        if (format.value()) {
-          if (*format.value() != "csv" && *format.value() != "json") {
-            return config_error("bad 'format' value '" + *format.value() +
-                                "' (csv or json)");
-          }
-          request.json_format = *format.value() == "json";
-        }
-      }
+      parsed = reject_unknown_members(
+          root, {"schema", "type", "suite", "format"}, "request", kWhere);
       break;
+    case RequestType::kBenchSuite:
+      parsed = reject_unknown_members(root, {"schema", "type", "suite"},
+                                      "request", kWhere);
+      break;
+  }
+  const bool unit = request.type == RequestType::kCompile ||
+                    request.type == RequestType::kRun;
+  if (parsed.ok() && unit) {
+    parsed = scenario::parse_unit_members(root, request.spec, kWhere);
+  }
+  if (parsed.ok() && request.type == RequestType::kRun) {
+    parsed = scenario::parse_plan_members(root, request.plan, kWhere);
+  }
+  if (!parsed.ok()) return std::move(parsed).error();
+
+  if (request.type == RequestType::kSweep ||
+      request.type == RequestType::kBenchSuite) {
+    const json::Value* suite = root.find("suite");
+    if (suite == nullptr || !suite->is_object()) {
+      return shape_error("a 'suite' object member is required", kWhere);
+    }
+    request.suite_text = json::serialize(*suite);
+    auto format = scenario::string_member(root, "format", kWhere);
+    if (!format.ok()) return std::move(format).error();
+    if (format.value()) {
+      if (*format.value() != "csv" && *format.value() != "json") {
+        return config_error(
+            "bad 'format' value '" + *format.value() + "' (csv or json)",
+            kWhere);
+      }
+      request.json_format = *format.value() == "json";
     }
   }
   return request;

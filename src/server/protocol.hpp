@@ -61,10 +61,10 @@ inline constexpr std::size_t kNumRequestTypes = 8;
 /// Wire name of a request type ("ping", "compile", ...).
 [[nodiscard]] std::string_view request_type_name(RequestType type);
 
-/// A parsed, validated request. Axis values (machine names, geometry
-/// labels, suite grids) are validated here with the same parsers the CLI
-/// and scenario layers use, so the daemon accepts exactly the strings
-/// `zolcsim` accepts locally.
+/// A parsed, validated request. The unit and run-plan members go through
+/// the request codec in scenario/parse.hpp -- the one the CLI verbs and
+/// suite files use -- so the daemon accepts exactly what `zolcsim` accepts
+/// locally, with the same ErrorCode for a bad value.
 struct Request {
   RequestType type = RequestType::kPing;
   flow::CompileSpec spec;   ///< compile / run: kernel + machine + geometry

@@ -1,39 +1,26 @@
-// Argument parsing for the zolcsim CLI driver: string forms of the
-// machine / geometry / pipeline-config axes, matching the names the sweep
-// emitters print (machine_name, ZolcGeometry::label, config_name), so CSV
-// output and CLI input round-trip.
+// Argument handling for the zolcsim CLI driver. The request-shaped verbs
+// never parse a member themselves: `compile`, `run`, `sweep` and `client`
+// lower their flags into the JSON member object the serve protocol and the
+// suite files use (one table per verb: kebab-case -> snake_case, integers
+// -> numbers, switches -> true, --no-X -> "X": false) and hand it to the
+// shared codec in scenario/parse.hpp.
 #ifndef ZOLCSIM_TOOLS_ZOLCSIM_CLI_HPP
 #define ZOLCSIM_TOOLS_ZOLCSIM_CLI_HPP
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "codegen/program.hpp"
+#include "common/json.hpp"
 #include "common/result.hpp"
-#include "cpu/pipeline.hpp"
-#include "scenario/parse.hpp"
-#include "zolc/config.hpp"
+#include "flow/compiled_unit.hpp"
+#include "flow/run.hpp"
+#include "harness/sweep.hpp"
 
 namespace zolcsim::cli {
-
-/// "XRdefault" | "XRhrdwil" | "uZOLC" | "ZOLClite" | "ZOLCfull"
-/// (case-insensitive). Error: kBadConfig. Thin wrappers over
-/// scenario::parse_* -- one grammar for flags and suite files.
-[[nodiscard]] Result<codegen::MachineKind> parse_machine(std::string_view s);
-
-/// "Nt-Nl-Nx-Ne[-pB]" -- the ZolcGeometry::label() form, e.g. "32t-8l-4x-4e"
-/// or "64t-12l-4x-4e-p14". Error: kBadConfig.
-[[nodiscard]] Result<zolc::ZolcGeometry> parse_geometry(std::string_view s);
-
-/// "EX-resolve|ID-resolve" "/rollback|/gate" ["/nofwd"] -- the
-/// harness::config_name() form. Error: kBadConfig.
-[[nodiscard]] Result<cpu::PipelineConfig> parse_config(std::string_view s);
-
-/// "pipeline" | "iss" | "iss-fast" -- the harness::mode_name() form.
-/// Error: kBadConfig.
-[[nodiscard]] Result<harness::ExecMode> parse_mode(std::string_view s);
 
 /// Flag helpers over argv (skipping argv[0] and the subcommand).
 struct Args {
@@ -54,6 +41,76 @@ struct Args {
       const std::vector<std::string_view>& known_values,
       const std::vector<std::string_view>& known_switches) const;
 };
+
+/// How one flag lowers into a request member.
+enum class FlagKind : std::uint8_t {
+  kString,   ///< --name=v   -> "name": "v"
+  kInt,      ///< --name=N   -> "name": N (non-integers stay strings, so the
+             ///<               codec rejects them with its own error)
+  kStrings,  ///< --name=a,b -> "name": ["a", "b"]
+  kInts,     ///< --name=1,2 -> "name": [1, 2]
+  kSwitch,   ///< --name     -> "name": true; --no-name -> "name": false
+};
+
+struct MemberFlag {
+  std::string_view name;  ///< flag spelling, kebab-case
+  FlagKind kind;
+};
+
+/// `compile` / `client compile`: the unit members.
+inline constexpr MemberFlag kUnitFlags[] = {
+    {"machine", FlagKind::kString},
+    {"geometry", FlagKind::kString},
+};
+
+/// `run` / `client run`: the unit members plus the run-plan members.
+inline constexpr MemberFlag kRunFlags[] = {
+    {"machine", FlagKind::kString},
+    {"geometry", FlagKind::kString},
+    {"config", FlagKind::kString},
+    {"mode", FlagKind::kString},
+    {"max-cycles", FlagKind::kInt},
+    {"tenants", FlagKind::kInt},
+    {"preempt-every", FlagKind::kInt},
+    {"preempt-serialize", FlagKind::kSwitch},
+    {"no-predecode", FlagKind::kSwitch},
+};
+
+/// `sweep`: the grid flags, lowered into a suite "sweep" object.
+inline constexpr MemberFlag kGridFlags[] = {
+    {"kernels", FlagKind::kStrings},
+    {"machines", FlagKind::kStrings},
+    {"configs", FlagKind::kStrings},
+    {"geometries", FlagKind::kStrings},
+    {"modes", FlagKind::kStrings},
+    {"tenants", FlagKind::kInts},
+    {"baseline", FlagKind::kString},
+    {"max-cycles", FlagKind::kInt},
+};
+
+/// `sweep`: run-plan members applied to every cell (suites have none).
+inline constexpr MemberFlag kSweepPlanFlags[] = {
+    {"preempt-every", FlagKind::kInt},
+    {"preempt-serialize", FlagKind::kSwitch},
+};
+
+/// The compile/run request members: "kernel" plus the lowered `table`
+/// flags -- the object `zolcsim client` sends, minus schema and type.
+[[nodiscard]] Result<json::Value> unit_members(
+    std::string_view kernel, const Args& args,
+    std::span<const MemberFlag> table);
+
+/// Parses a compile/run request locally: unit_members() through the shared
+/// codec into `spec` and `plan` (absent plan flags keep its defaults).
+[[nodiscard]] Result<void> unit_from_flags(std::string_view kernel,
+                                           const Args& args,
+                                           std::span<const MemberFlag> table,
+                                           flow::CompileSpec& spec,
+                                           flow::RunPlan& plan);
+
+/// The `sweep` grid: kGridFlags through the suite's "sweep" parser, then
+/// kSweepPlanFlags through the run-plan codec onto every cell.
+[[nodiscard]] Result<harness::SweepSpec> sweep_from_flags(const Args& args);
 
 /// Splits "a,b,c" (empty input -> empty vector).
 [[nodiscard]] std::vector<std::string> split_list(std::string_view s);

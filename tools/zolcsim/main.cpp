@@ -18,8 +18,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -59,8 +61,8 @@ commands:
   run <kernel>              compile + execute + verify one experiment
       --machine=NAME --geometry=LABEL
       --config=NAME         pipeline config, e.g. EX-resolve/rollback[/nofwd]
-      --engine=NAME         pipeline (cycle-accurate, default) or iss
-      --fast-path           ISS loop-summary fast path (implies --engine=iss)
+      --mode=NAME           pipeline (cycle-accurate, default), iss, or
+                            iss-fast (ISS with the loop-summary fast path)
       --max-cycles=N        cycle budget          (default 200000000)
       --no-predecode        fetch/decode from memory every cycle
       --preempt-every=N     ISS only: save/clobber/restore the full ZOLC
@@ -109,9 +111,7 @@ commands:
       --socket=PATH         socket path (required)
       actions: ping | stats | store-stat | shutdown
         compile <kernel>    --machine=NAME --geometry=LABEL
-        run <kernel>        ... plus --config=NAME --mode=NAME
-                            --max-cycles=N --tenants=N --preempt-every=N
-                            --preempt-serialize --no-predecode
+        run <kernel>        ... plus the `run` flags above
         sweep               --from-file=SUITE --format=csv|json --out=FILE
                             --expect-zero-compiles --expect-zero-prepares
                             (output is byte-identical to local
@@ -140,10 +140,11 @@ int toolchain_error(const Error& error) {
 
 /// A malformed flag value is a usage error (exit 2), same class as an
 /// unknown flag -- toolchain_error (exit 1) is reserved for failures of the
-/// flow itself (compile / run / sweep / io).
+/// flow itself (compile / run / sweep / io). An unknown kernel stays exit 1
+/// whether the sweep codec or the compile stage finds it.
 int bad_flag_value(const Error& error) {
   std::fprintf(stderr, "%s\n", cli::render_error(error).c_str());
-  return 2;
+  return error.code == ErrorCode::kUnknownKernel ? 1 : 2;
 }
 
 /// Fetches "--name=value", rejecting an explicitly empty value. Returns
@@ -175,9 +176,18 @@ std::optional<std::uint64_t> positive_int_flag(
   return static_cast<std::uint64_t>(*n);
 }
 
-int reject_unknown_flags(const cli::Args& args,
-                         const std::vector<std::string_view>& values,
-                         const std::vector<std::string_view>& switches) {
+/// Rejects flags outside `values`/`switches` and the request-member
+/// `tables`.
+int reject_unknown_flags(
+    const cli::Args& args, std::vector<std::string_view> values,
+    std::vector<std::string_view> switches,
+    std::initializer_list<std::span<const cli::MemberFlag>> tables = {}) {
+  for (const std::span<const cli::MemberFlag> table : tables) {
+    for (const cli::MemberFlag& flag : table) {
+      (flag.kind == cli::FlagKind::kSwitch ? switches : values)
+          .push_back(flag.name);
+    }
+  }
   const std::vector<std::string> unknown = args.unknown(values, switches);
   if (unknown.empty()) return 0;
   return usage_error("unknown flag '" + unknown.front() + "'");
@@ -196,6 +206,54 @@ int attach_store_flag(const cli::Args& args) {
     process_cache().attach_store(&*store);
   }
   return 0;
+}
+
+/// --format=csv|json (default csv). Returns 0 and sets `json`, or a usage
+/// error exit code.
+int csv_json_flag(const cli::Args& args, bool& json) {
+  int rc = 0;
+  const auto format = nonempty_value(args, "format", rc);
+  if (rc != 0 || !format) return rc;
+  if (*format != "csv" && *format != "json") {
+    return usage_error("bad --format value '" + *format + "' (csv or json)");
+  }
+  json = *format == "json";
+  return 0;
+}
+
+Result<std::string> read_text_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    return Error{ErrorCode::kIo, "cannot read '" + path + "'"};
+  }
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// Writes `content` to `path`, or to stdout when `path` is absent. Returns
+/// 0 or the toolchain-error exit code.
+int write_output(const std::optional<std::string>& path,
+                 const std::string& content) {
+  if (!path) {
+    std::fputs(content.c_str(), stdout);
+    return 0;
+  }
+  std::ofstream file(*path, std::ios::binary);
+  file << content;
+  file.flush();  // surface deferred write errors (e.g. disk full) here
+  if (file.good()) return 0;
+  return toolchain_error(Error{ErrorCode::kIo, "cannot write '" + *path + "'"});
+}
+
+/// Creates the artifact directory `dir`. Returns 0 or an exit code.
+int make_artifact_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec) return 0;
+  return toolchain_error(Error{ErrorCode::kIo,
+                               "cannot create artifact directory '" + dir +
+                                   "': " + ec.message()});
 }
 
 // ---------------------------------------------------------------- list ----
@@ -225,33 +283,6 @@ int cmd_list() {
 }
 
 // ----------------------------------------------------- compile helpers ----
-
-struct UnitRequest {
-  flow::CompileSpec spec;
-};
-
-/// Shared flag handling for `compile` and `run`: kernel name + machine +
-/// geometry. Returns 0 and fills `out` on success, an exit code otherwise.
-int parse_unit_request(const cli::Args& args, UnitRequest& out) {
-  if (args.positional.size() != 1) {
-    return usage_error("expected exactly one kernel name");
-  }
-  out.spec.kernel = args.positional.front();
-  out.spec.machine = codegen::MachineKind::kZolcFull;
-  int rc = 0;
-  if (const auto machine = nonempty_value(args, "machine", rc)) {
-    auto parsed = cli::parse_machine(*machine);
-    if (!parsed.ok()) return bad_flag_value(parsed.error());
-    out.spec.machine = parsed.value();
-  }
-  if (rc != 0) return rc;
-  if (const auto geometry = nonempty_value(args, "geometry", rc)) {
-    auto parsed = cli::parse_geometry(*geometry);
-    if (!parsed.ok()) return bad_flag_value(parsed.error());
-    out.spec.geometry = parsed.value();
-  }
-  return rc;
-}
 
 void print_unit_summary(const flow::CompiledUnit& unit) {
   const codegen::Program& program = unit.program();
@@ -286,13 +317,20 @@ void print_scan_report(const flow::CompiledUnit& unit) {
 }
 
 int cmd_compile(const cli::Args& args) {
-  if (const int rc = reject_unknown_flags(args,
-                                          {"machine", "geometry", "format"},
-                                          {"disasm", "scan"})) {
+  if (const int rc = reject_unknown_flags(args, {"format"}, {"disasm", "scan"},
+                                          {cli::kUnitFlags})) {
     return rc;
   }
-  UnitRequest request;
-  if (const int rc = parse_unit_request(args, request)) return rc;
+  if (args.positional.size() != 1) {
+    return usage_error("expected exactly one kernel name");
+  }
+  flow::CompileSpec spec;
+  flow::RunPlan plan;  // compile takes no plan flags; stays default
+  if (auto parsed = cli::unit_from_flags(args.positional.front(), args,
+                                         cli::kUnitFlags, spec, plan);
+      !parsed.ok()) {
+    return bad_flag_value(parsed.error());
+  }
   int rc = 0;
   bool json_format = false;
   if (const auto format = nonempty_value(args, "format", rc)) {
@@ -303,7 +341,7 @@ int cmd_compile(const cli::Args& args) {
     json_format = *format == "json";
   }
   if (rc != 0) return rc;
-  auto unit = flow::CompiledUnit::compile(request.spec);
+  auto unit = flow::CompiledUnit::compile(spec);
   if (!unit.ok()) return toolchain_error(unit.error());
   if (json_format) {
     // The JSON artifact subsumes --disasm/--scan: words, tables, and the
@@ -325,60 +363,21 @@ int cmd_compile(const cli::Args& args) {
 // ----------------------------------------------------------------- run ----
 
 int cmd_run(const cli::Args& args) {
-  if (const int rc = reject_unknown_flags(
-          args,
-          {"machine", "geometry", "config", "engine", "max-cycles",
-           "preempt-every", "tenants"},
-          {"no-predecode", "fast-path", "preempt-serialize"})) {
+  if (const int rc = reject_unknown_flags(args, {}, {}, {cli::kRunFlags})) {
     return rc;
   }
-  UnitRequest request;
-  if (const int rc = parse_unit_request(args, request)) return rc;
-
+  if (args.positional.size() != 1) {
+    return usage_error("expected exactly one kernel name");
+  }
+  flow::CompileSpec spec;
   flow::RunPlan plan;
-  int rc = 0;
-  if (const auto config = nonempty_value(args, "config", rc)) {
-    auto parsed = cli::parse_config(*config);
-    if (!parsed.ok()) return bad_flag_value(parsed.error());
-    plan.config = parsed.value();
+  if (auto parsed = cli::unit_from_flags(args.positional.front(), args,
+                                         cli::kRunFlags, spec, plan);
+      !parsed.ok()) {
+    return bad_flag_value(parsed.error());
   }
-  if (const auto engine = nonempty_value(args, "engine", rc)) {
-    if (*engine == "pipeline") {
-      plan.mode.engine = harness::SimEngine::kPipeline;
-    } else if (*engine == "iss") {
-      plan.mode.engine = harness::SimEngine::kIss;
-    } else {
-      return usage_error("bad --engine value '" + *engine +
-                         "' (pipeline or iss)");
-    }
-  }
-  if (args.has("fast-path")) {
-    if (plan.mode.engine == harness::SimEngine::kPipeline &&
-        args.value_of("engine")) {
-      return usage_error("--fast-path requires --engine=iss");
-    }
-    plan.mode.engine = harness::SimEngine::kIss;
-    plan.mode.fast_path = true;
-  }
-  if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
-    plan.max_cycles = *cycles;
-  }
-  if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
-    plan.preempt_every = *every;
-  }
-  if (const auto tenants = positive_int_flag(args, "tenants", rc, 64)) {
-    plan.tenants = static_cast<unsigned>(*tenants);
-  }
-  plan.preempt_serialize = args.has("preempt-serialize");
-  if ((plan.preempt_every != 0 || plan.tenants != 1) &&
-      plan.mode.engine != harness::SimEngine::kIss) {
-    return usage_error(
-        "--preempt-every/--tenants require --engine=iss or --fast-path");
-  }
-  if (rc != 0) return rc;
-  plan.predecode = !args.has("no-predecode");
 
-  auto unit = flow::CompiledUnit::compile(request.spec);
+  auto unit = flow::CompiledUnit::compile(spec);
   if (!unit.ok()) return toolchain_error(unit.error());
   auto result = flow::run(unit.value(), plan);
   if (!result.ok()) return toolchain_error(result.error());
@@ -420,38 +419,28 @@ int cmd_run(const cli::Args& args) {
 
 /// Renders a sweep report to --out/stdout per --format. Shared by the grid
 /// and --from-file paths of `sweep`.
-int emit_sweep_report(const harness::SweepReport& report,
-                      const std::string& format_name,
+int emit_sweep_report(const harness::SweepReport& report, bool json,
                       const std::optional<std::string>& out_path) {
-  const std::string rendered =
-      format_name == "json" ? report.to_json() : report.to_csv();
+  if (const int rc =
+          write_output(out_path, json ? report.to_json() : report.to_csv())) {
+    return rc;
+  }
   if (out_path) {
-    std::ofstream file(*out_path, std::ios::binary);
-    file << rendered;
-    file.flush();  // surface deferred write errors (e.g. disk full) here
-    if (!file.good()) {
-      return toolchain_error(
-          Error{ErrorCode::kIo, "cannot write '" + *out_path + "'"});
-    }
     std::fprintf(stderr,
                  "wrote %zu cells to %s (%zu compiles, %zu store hits, "
                  "%zu cache hits)\n",
                  report.cells.size(), out_path->c_str(),
                  report.compile_cache_compiles,
                  report.compile_cache_store_hits, report.compile_cache_hits);
-  } else {
-    std::fputs(rendered.c_str(), stdout);
   }
   return 0;
 }
 
 int cmd_sweep(const cli::Args& args) {
+  const std::vector<std::string_view> run_flags = {
+      "threads", "format", "out", "from-file", "store-dir"};
   if (const int rc = reject_unknown_flags(
-          args,
-          {"kernels", "machines", "configs", "geometries", "modes",
-           "tenants", "preempt-every", "baseline", "max-cycles", "threads",
-           "format", "out", "from-file", "store-dir"},
-          {"preempt-serialize"})) {
+          args, run_flags, {}, {cli::kGridFlags, cli::kSweepPlanFlags})) {
     return rc;
   }
   if (!args.positional.empty()) {
@@ -459,112 +448,40 @@ int cmd_sweep(const cli::Args& args) {
   }
   if (const int rc = attach_store_flag(args)) return rc;
   int rc = 0;
-  if (const auto suite_path = nonempty_value(args, "from-file", rc)) {
-    // Suite mode: the file is the grid; only execution/output flags apply.
-    for (const std::string_view grid_flag :
-         {"kernels", "machines", "configs", "geometries", "modes", "tenants",
-          "preempt-every", "baseline", "max-cycles"}) {
-      if (args.value_of(grid_flag)) {
-        return usage_error("--" + std::string(grid_flag) +
-                           " conflicts with --from-file (the suite file "
-                           "defines the grid)");
-      }
-    }
-    scenario::RunOptions options;
-    if (const auto threads = positive_int_flag(args, "threads", rc, 4096)) {
-      options.threads = static_cast<unsigned>(*threads);
-    }
-    std::string format_name = "csv";
-    if (const auto format = nonempty_value(args, "format", rc)) {
-      if (*format != "csv" && *format != "json") {
-        return usage_error("bad --format value '" + *format +
-                           "' (csv or json)");
-      }
-      format_name = *format;
-    }
-    const auto out_path = nonempty_value(args, "out", rc);
-    if (rc != 0) return rc;
-
-    auto suite = scenario::load_suite_file(*suite_path);
-    if (!suite.ok()) return toolchain_error(suite.error());
-    auto outcome =
-        scenario::run_suite(suite.value(), process_cache(), options);
-    if (!outcome.ok()) return toolchain_error(outcome.error());
-    return emit_sweep_report(outcome.value().report, format_name, out_path);
+  const auto suite_path = nonempty_value(args, "from-file", rc);
+  unsigned threads = 0;
+  if (const auto n = positive_int_flag(args, "threads", rc, 4096)) {
+    threads = static_cast<unsigned>(*n);
   }
-  if (rc != 0) return rc;
-
-  harness::SweepSpec spec;
-  if (const auto kernels = nonempty_value(args, "kernels", rc)) {
-    spec.kernels = cli::split_list(*kernels);
-  }
-  if (const auto machines = nonempty_value(args, "machines", rc)) {
-    for (const std::string& name : cli::split_list(*machines)) {
-      auto machine = cli::parse_machine(name);
-      if (!machine.ok()) return bad_flag_value(machine.error());
-      spec.machines.push_back(machine.value());
-    }
-  }
-  if (const auto configs = nonempty_value(args, "configs", rc)) {
-    for (const std::string& name : cli::split_list(*configs)) {
-      auto config = cli::parse_config(name);
-      if (!config.ok()) return bad_flag_value(config.error());
-      spec.configs.push_back(config.value());
-    }
-  }
-  if (const auto geometries = nonempty_value(args, "geometries", rc)) {
-    for (const std::string& name : cli::split_list(*geometries)) {
-      auto geometry = cli::parse_geometry(name);
-      if (!geometry.ok()) return bad_flag_value(geometry.error());
-      spec.geometries.push_back(geometry.value());
-    }
-  }
-  if (const auto modes = nonempty_value(args, "modes", rc)) {
-    for (const std::string& name : cli::split_list(*modes)) {
-      auto mode = cli::parse_mode(name);
-      if (!mode.ok()) return bad_flag_value(mode.error());
-      spec.modes.push_back(mode.value());
-    }
-  }
-  if (const auto tenants = nonempty_value(args, "tenants", rc)) {
-    for (const std::string& name : cli::split_list(*tenants)) {
-      const auto n = parse_int(name);
-      if (!n || *n <= 0 || *n > 64) {
-        return usage_error("bad --tenants entry '" + name +
-                           "' (want integers in [1, 64])");
-      }
-      spec.tenants.push_back(static_cast<unsigned>(*n));
-    }
-  }
-  if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
-    spec.preempt_every = *every;
-  }
-  spec.preempt_serialize = args.has("preempt-serialize");
-  if (const auto baseline = nonempty_value(args, "baseline", rc)) {
-    auto machine = cli::parse_machine(*baseline);
-    if (!machine.ok()) return bad_flag_value(machine.error());
-    spec.baseline = machine.value();
-  }
-  if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
-    spec.max_cycles = *cycles;
-  }
-  if (const auto threads = positive_int_flag(args, "threads", rc, 4096)) {
-    spec.threads = static_cast<unsigned>(*threads);
-  }
-  std::string format_name = "csv";
-  if (const auto format = nonempty_value(args, "format", rc)) {
-    if (*format != "csv" && *format != "json") {
-      return usage_error("bad --format value '" + *format +
-                         "' (csv or json)");
-    }
-    format_name = *format;
-  }
+  bool json = false;
+  if (const int format_rc = csv_json_flag(args, json)) return format_rc;
   const auto out_path = nonempty_value(args, "out", rc);
   if (rc != 0) return rc;
 
-  const auto swept = harness::run_sweep(spec, process_cache());
+  if (suite_path) {
+    // Suite mode: the file is the grid; only execution/output flags apply.
+    const std::vector<std::string> grid = args.unknown(run_flags, {});
+    if (!grid.empty()) {
+      return usage_error(grid.front() +
+                         " conflicts with --from-file (the suite file "
+                         "defines the grid)");
+    }
+    auto suite = scenario::load_suite_file(*suite_path);
+    if (!suite.ok()) return toolchain_error(suite.error());
+    scenario::RunOptions options;
+    options.threads = threads;
+    auto outcome =
+        scenario::run_suite(suite.value(), process_cache(), options);
+    if (!outcome.ok()) return toolchain_error(outcome.error());
+    return emit_sweep_report(outcome.value().report, json, out_path);
+  }
+
+  auto spec = cli::sweep_from_flags(args);
+  if (!spec.ok()) return bad_flag_value(spec.error());
+  spec.value().threads = threads;
+  const auto swept = harness::run_sweep(spec.value(), process_cache());
   if (!swept.ok()) return toolchain_error(swept.error());
-  return emit_sweep_report(swept.value(), format_name, out_path);
+  return emit_sweep_report(swept.value(), json, out_path);
 }
 
 // --------------------------------------------------------------- bench ----
@@ -578,29 +495,23 @@ struct BenchPoint {
   double mips = 0.0;
 };
 
-/// Loads the points of one BENCH_*.json artifact. Accepts schema v1 (no
-/// per-point mode; defaults to "pipeline"), v2, v3 (no per-point tenants;
-/// defaults to 1), and v4.
+/// Loads the points of one BENCH_*.json artifact (the current schema only).
+/// A point without "tenants" is single-tenant: the field is gated on the
+/// suite sweeping the tenant axis.
 Result<std::vector<BenchPoint>> load_bench_points(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Error{ErrorCode::kIo, "cannot read artifact '" + path + "'"};
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  auto document = json::parse(text.str());
+  auto text = read_text_file(path);
+  if (!text.ok()) return std::move(text).error();
+  auto document = json::parse(text.value());
   if (!document.ok()) {
     return std::move(document).error().with_context("artifact " + path);
   }
   const json::Value& root = document.value();
   const json::Value* schema = root.find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      (schema->as_string() != "zolcsim-bench-v1" &&
-       schema->as_string() != "zolcsim-bench-v2" &&
-       schema->as_string() != "zolcsim-bench-v3" &&
-       schema->as_string() != std::string(scenario::kBenchSchema))) {
-    return Error{ErrorCode::kParse,
-                 "'" + path + "' is not a zolcsim BENCH artifact"};
+      schema->as_string() != scenario::kBenchSchema) {
+    return Error{ErrorCode::kParse, "'" + path + "' is not a " +
+                                        std::string(scenario::kBenchSchema) +
+                                        " artifact"};
   }
   const json::Value* points = root.find("points");
   if (points == nullptr || !points->is_array()) {
@@ -609,7 +520,8 @@ Result<std::vector<BenchPoint>> load_bench_points(const std::string& path) {
   std::vector<BenchPoint> out;
   for (const json::Value& point : points->items()) {
     BenchPoint p;
-    for (const char* part : {"kernel", "machine", "config", "geometry"}) {
+    for (const char* part :
+         {"kernel", "machine", "config", "geometry", "mode"}) {
       const json::Value* v = point.find(part);
       if (v == nullptr || !v->is_string()) {
         return Error{ErrorCode::kParse, "'" + path +
@@ -620,16 +532,6 @@ Result<std::vector<BenchPoint>> load_bench_points(const std::string& path) {
       p.key += v->as_string();
     }
     p.key += '|';
-    if (const json::Value* mode = point.find("mode")) {
-      if (!mode->is_string()) {
-        return Error{ErrorCode::kParse,
-                     "'" + path + "' point has a non-string 'mode'"};
-      }
-      p.key += mode->as_string();
-    } else {
-      p.key += "pipeline";  // schema v1 predates the mode axis
-    }
-    p.key += '|';
     if (const json::Value* tenants = point.find("tenants")) {
       const auto count = tenants->as_uint();
       if (!count) {
@@ -638,7 +540,7 @@ Result<std::vector<BenchPoint>> load_bench_points(const std::string& path) {
       }
       p.key += std::to_string(*count);
     } else {
-      p.key += '1';  // schemas before v4 predate the tenant axis
+      p.key += '1';
     }
     const json::Value* cycles = point.find("cycles");
     const auto n = cycles ? cycles->as_uint() : std::nullopt;
@@ -788,13 +690,7 @@ int cmd_bench(const cli::Args& args) {
         ErrorCode::kIo, "no *.json suite files in '" + *suite_dir + "'"});
   }
 
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-  if (ec) {
-    return toolchain_error(Error{ErrorCode::kIo,
-                                 "cannot create artifact directory '" +
-                                     out_dir + "': " + ec.message()});
-  }
+  if (const int dir_rc = make_artifact_dir(out_dir)) return dir_rc;
 
   for (const std::string& path : files.value()) {
     auto suite = scenario::load_suite_file(path);
@@ -806,12 +702,9 @@ int cmd_bench(const cli::Args& args) {
 
     const std::string artifact = out_dir + "/" +
                                  scenario::bench_artifact_name(done.suite);
-    std::ofstream file(artifact, std::ios::binary);
-    file << scenario::bench_artifact_json(done);
-    file.flush();
-    if (!file.good()) {
-      return toolchain_error(
-          Error{ErrorCode::kIo, "cannot write '" + artifact + "'"});
+    if (const int write_rc =
+            write_output(artifact, scenario::bench_artifact_json(done))) {
+      return write_rc;
     }
     std::printf("suite %-20s %4zu cells  golden %-9s %7.2fs  %8.2f MIPS\n",
                 done.suite.name.c_str(), done.report.cells.size(),
@@ -964,70 +857,6 @@ int cmd_serve(const cli::Args& args) {
 
 // -------------------------------------------------------------- client ----
 
-Result<std::string> read_text_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Error{ErrorCode::kIo, "cannot read '" + path + "'"};
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
-}
-
-/// Builds the compile / run request JSON from the client flags. The axis
-/// values travel as strings and are validated daemon-side with the same
-/// parsers the local verbs use. Returns 0 and fills `payload`, or an exit
-/// code.
-int build_client_unit_request(const cli::Args& args, const char* type,
-                              std::string& payload) {
-  if (args.positional.size() != 2) {
-    return usage_error(std::string("client ") + type +
-                       " takes exactly one kernel name");
-  }
-  const bool run = std::string(type) == "run";
-  std::string out = "{\"schema\": \"";
-  out += server::kServeSchema;
-  out += "\", \"type\": \"";
-  out += type;
-  out += "\", \"kernel\": \"";
-  out += json::escape(args.positional[1]);
-  out += "\"";
-  int rc = 0;
-  for (const char* flag : {"machine", "geometry"}) {
-    if (const auto value = nonempty_value(args, flag, rc)) {
-      out += std::string(", \"") + flag + "\": \"" + json::escape(*value) +
-             "\"";
-    }
-    if (rc != 0) return rc;
-  }
-  if (run) {
-    for (const char* flag : {"config", "mode"}) {
-      if (const auto value = nonempty_value(args, flag, rc)) {
-        out += std::string(", \"") + flag + "\": \"" + json::escape(*value) +
-               "\"";
-      }
-      if (rc != 0) return rc;
-    }
-    if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
-      out += ", \"max_cycles\": " + std::to_string(*cycles);
-    }
-    if (const auto tenants = positive_int_flag(args, "tenants", rc, 64)) {
-      out += ", \"tenants\": " + std::to_string(*tenants);
-    }
-    if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
-      out += ", \"preempt_every\": " + std::to_string(*every);
-    }
-    if (rc != 0) return rc;
-    if (args.has("preempt-serialize")) {
-      out += ", \"preempt_serialize\": true";
-    }
-    if (args.has("no-predecode")) out += ", \"predecode\": false";
-  }
-  out += "}";
-  payload = std::move(out);
-  return 0;
-}
-
 /// Digs `object.member` out of a reply ("cache.compiles"); nullopt when the
 /// reply lacks it.
 std::optional<std::uint64_t> nested_reply_uint(const json::Value& reply,
@@ -1049,16 +878,8 @@ int client_sweep_reply(const cli::Args& args, const json::Value& reply) {
   int rc = 0;
   const auto out_path = nonempty_value(args, "out", rc);
   if (rc != 0) return rc;
-  if (out_path) {
-    std::ofstream file(*out_path, std::ios::binary);
-    file << output.value();
-    file.flush();
-    if (!file.good()) {
-      return toolchain_error(
-          Error{ErrorCode::kIo, "cannot write '" + *out_path + "'"});
-    }
-  } else {
-    std::fputs(output.value().c_str(), stdout);
+  if (const int write_rc = write_output(out_path, output.value())) {
+    return write_rc;
   }
   const auto compiles = nested_reply_uint(reply, "cache", "compiles");
   const auto prepares = nested_reply_uint(reply, "prepares", "full");
@@ -1090,20 +911,10 @@ int client_bench_reply(const cli::Args& args, const json::Value& reply) {
   std::string out_dir = ".";
   if (const auto dir = nonempty_value(args, "out-dir", rc)) out_dir = *dir;
   if (rc != 0) return rc;
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-  if (ec) {
-    return toolchain_error(Error{ErrorCode::kIo,
-                                 "cannot create artifact directory '" +
-                                     out_dir + "': " + ec.message()});
-  }
+  if (const int dir_rc = make_artifact_dir(out_dir)) return dir_rc;
   const std::string path = out_dir + "/" + name.value();
-  std::ofstream file(path, std::ios::binary);
-  file << artifact.value();
-  file.flush();
-  if (!file.good()) {
-    return toolchain_error(
-        Error{ErrorCode::kIo, "cannot write '" + path + "'"});
+  if (const int write_rc = write_output(path, artifact.value())) {
+    return write_rc;
   }
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   return 0;
@@ -1117,12 +928,8 @@ int cmd_client(const cli::Args& args) {
   }
   const std::string& action = args.positional.front();
   if (const int rc = reject_unknown_flags(
-          args,
-          {"socket", "machine", "geometry", "config", "mode", "max-cycles",
-           "tenants", "preempt-every", "from-file", "format", "out",
-           "out-dir"},
-          {"preempt-serialize", "no-predecode", "expect-zero-compiles",
-           "expect-zero-prepares"})) {
+          args, {"socket", "from-file", "format", "out", "out-dir"},
+          {"expect-zero-compiles", "expect-zero-prepares"}, {cli::kRunFlags})) {
     return rc;
   }
   int rc = 0;
@@ -1140,10 +947,20 @@ int cmd_client(const cli::Args& args) {
   } else if (action == "shutdown") {
     payload = server::simple_request(server::RequestType::kShutdown);
   } else if (action == "compile" || action == "run") {
-    if (const int unit_rc =
-            build_client_unit_request(args, action.c_str(), payload)) {
-      return unit_rc;
+    // The same member object the local verbs parse; the daemon validates it.
+    if (args.positional.size() != 2) {
+      return usage_error("client " + action +
+                         " takes exactly one kernel name");
     }
+    auto members = cli::unit_members(
+        args.positional[1], args,
+        action == "run" ? std::span<const cli::MemberFlag>(cli::kRunFlags)
+                        : cli::kUnitFlags);
+    if (!members.ok()) return bad_flag_value(members.error());
+    payload = server::make_request(action == "run"
+                                       ? server::RequestType::kRun
+                                       : server::RequestType::kCompile,
+                                   members.value());
   } else if (action == "sweep" || action == "bench-suite") {
     const auto suite_path = nonempty_value(args, "from-file", rc);
     if (rc != 0) return rc;
@@ -1153,16 +970,9 @@ int cmd_client(const cli::Args& args) {
     auto text = read_text_file(*suite_path);
     if (!text.ok()) return toolchain_error(text.error());
     if (action == "sweep") {
-      bool json_format = false;
-      if (const auto format = nonempty_value(args, "format", rc)) {
-        if (*format != "csv" && *format != "json") {
-          return usage_error("bad --format value '" + *format +
-                             "' (csv or json)");
-        }
-        json_format = *format == "json";
-      }
-      if (rc != 0) return rc;
-      auto request = server::sweep_request(text.value(), json_format);
+      bool json = false;
+      if (const int format_rc = csv_json_flag(args, json)) return format_rc;
+      auto request = server::sweep_request(text.value(), json);
       if (!request.ok()) return toolchain_error(request.error());
       payload = std::move(request).value();
     } else {
