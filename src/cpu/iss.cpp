@@ -87,12 +87,10 @@ void Iss::step() {
       break;
     }
     case Format::kMem: {
-      const auto addr = static_cast<std::uint32_t>(
-          rs_val + instr.imm);
-      const isa::OpcodeInfo& minfo = isa::opcode_info(instr.op);
-      if (minfo.is_load) {
+      const auto addr = static_cast<std::uint32_t>(rs_val + instr.imm);
+      if (info.is_load) {
         regs_.write(instr.rt, mem_load(instr.op, mem_, addr));
-      } else if (minfo.is_store) {
+      } else if (info.is_store) {
         mem_store(instr.op, mem_, addr, rt_val);
       } else {
         ZS_UNREACHABLE("memory format without memory opcode");

@@ -11,11 +11,20 @@
 //     snapshot when the older taken branch resolves (kRollback policy), or
 //     avoided entirely by stalling fetch while control flow is unresolved
 //     (kGate policy, costs cycles; used for the ablation study).
+//
+// Simulation structure: cycle() updates the latches in place, in stage
+// order WB -> MEM -> EX -> ID -> IF, so each stage consumes its input latch
+// before the younger stage overwrites it; the handful of previous-cycle
+// values a later stage still needs are saved at the top of the cycle.
+// Fetch-time ZOLC events live in a 4-slot ring and the latches carry slot
+// indices; hazard metadata (isa::HazardInfo) is computed once per code word
+// when an image is attached, or at fetch for off-image words.
 #ifndef ZOLCSIM_CPU_PIPELINE_HPP
 #define ZOLCSIM_CPU_PIPELINE_HPP
 
+#include <array>
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "cpu/accel.hpp"
 #include "cpu/exec.hpp"
@@ -57,6 +66,8 @@ struct PipelineStats {
   std::uint64_t zolc_rollbacks = 0;
   std::uint64_t zolc_resolution_events = 0;
   std::uint64_t zolc_init_instructions = 0;  ///< retired zolw*/zolon/zoloff
+
+  friend bool operator==(const PipelineStats&, const PipelineStats&) = default;
 };
 
 class Pipeline {
@@ -67,9 +78,10 @@ class Pipeline {
   void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
 
   /// Attaches a predecoded code image (non-owning; must outlive the
-  /// pipeline). Fetches inside the image skip the per-cycle decode; fetches
-  /// outside it decode from memory as before.
-  void set_code_image(isa::CodeImage image) noexcept { image_ = image; }
+  /// pipeline) and computes its per-word hazard metadata. Fetches inside the
+  /// image skip the per-cycle decode; fetches outside it decode from memory
+  /// as before.
+  void set_code_image(isa::CodeImage image);
 
   /// Observer called at write-back for every retired instruction (program
   /// order; wrong-path instructions never reach it).
@@ -99,40 +111,49 @@ class Pipeline {
     AccelSnapshot before;  ///< accelerator state before the event fired
   };
 
+  /// Fetch-event ring size. An event is consumed (committed or rolled
+  /// back) in EX at the latest, so at most three are live in one cycle: the
+  /// old IF/ID's, the old ID/EX's and this cycle's fetch.
+  static constexpr std::uint8_t kFetchRing = 4;
+
   struct IfId {
     bool valid = false;
+    std::int8_t fetch_slot = -1;  ///< fetch_ring_ index, -1 = no event
     std::uint32_t pc = 0;
     isa::Instruction instr;
-    std::optional<FetchInfo> fetch_info;
+    isa::HazardInfo hz;
   };
 
   struct IdEx {
     bool valid = false;
+    std::int8_t fetch_slot = -1;
     std::uint32_t pc = 0;
     isa::Instruction instr;
+    isa::HazardInfo hz;
     std::int32_t rs_val = 0;
     std::int32_t rt_val = 0;
     std::int32_t rd_val = 0;
-    std::optional<FetchInfo> fetch_info;
   };
 
   struct ExMem {
     bool valid = false;
+    std::uint8_t dest = 0;  ///< 0 = no register write
+    bool is_load = false;
+    bool is_store = false;
+    bool is_zolc = false;
     std::uint32_t pc = 0;
     isa::Instruction instr;
     std::int32_t alu = 0;
     std::int32_t store_val = 0;
-    std::optional<std::uint8_t> dest;
-    bool is_load = false;
-    bool is_store = false;
   };
 
   struct MemWb {
     bool valid = false;
+    std::uint8_t dest = 0;
+    bool is_zolc = false;
     std::uint32_t pc = 0;
     isa::Instruction instr;
     std::int32_t value = 0;
-    std::optional<std::uint8_t> dest;
   };
 
   struct Latches {
@@ -142,22 +163,16 @@ class Pipeline {
     MemWb mem_wb;
   };
 
-  // Stage helpers (operate on the previous-cycle latch copy `cur`).
-  [[nodiscard]] std::int32_t forward_to_ex(const Latches& cur, std::uint8_t reg,
-                                           std::int32_t id_value) const;
-  [[nodiscard]] std::int32_t read_in_id(const Latches& cur,
-                                        std::uint8_t reg) const;
-  [[nodiscard]] bool writes_reg(const std::optional<std::uint8_t>& dest,
-                                const isa::SourceRegs& srcs) const;
-  [[nodiscard]] bool control_in_flight(const Latches& cur) const;
-
   mem::Memory& mem_;
   PipelineConfig config_;
   RegFile regs_;
   isa::CodeImage image_;
+  std::vector<isa::HazardInfo> image_hazards_;  ///< parallel to image_
   LoopAccelerator* accel_ = nullptr;
   RetireHook retire_hook_;
   Latches latches_;
+  std::array<FetchInfo, kFetchRing> fetch_ring_;
+  std::uint8_t fetch_next_ = 0;  ///< next fetch_ring_ slot to allocate
   std::uint32_t pc_ = 0;
   bool halted_ = false;
   PipelineStats stats_;

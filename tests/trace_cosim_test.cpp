@@ -1,21 +1,29 @@
 // Retirement-stream co-simulation: the pipeline must retire exactly the
 // same instruction sequence, in the same program order, as the ISS golden
 // model -- the strongest equivalence check available (final-state equality
-// can mask compensating errors). Exercised on ZOLC-heavy kernels where
-// wrong-path fetches and rollbacks are constant.
+// can mask compensating errors). Every registered kernel runs on every
+// machine under all eight pipeline configurations (branch resolve stage x
+// speculation policy x forwarding), each both with the predecoded image
+// attached (as flow::run does) and fetching from memory; the final register
+// file and memory image must match the ISS, and the two fetch paths must
+// produce identical pipeline statistics.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "codegen/lower.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
+#include "flow/compiled_unit.hpp"
+#include "flow/workload.hpp"
 #include "kernels/kernels.hpp"
 #include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 namespace {
+
+using codegen::MachineKind;
 
 struct Retired {
   std::uint32_t pc;
@@ -24,45 +32,51 @@ struct Retired {
   friend bool operator==(const Retired&, const Retired&) = default;
 };
 
-std::vector<Retired> pipeline_trace(const codegen::Program& prog,
-                                    const kernels::Kernel* kernel,
-                                    PipelineConfig config = {}) {
-  mem::Memory memory;
-  prog.load_into(memory);
-  if (kernel != nullptr) kernel->setup({}, memory);
-  std::unique_ptr<zolc::ZolcController> controller;
-  if (const auto variant = codegen::machine_zolc_variant(prog.machine)) {
-    controller = std::make_unique<zolc::ZolcController>(*variant);
-  }
-  Pipeline pipe(memory, config);
-  pipe.set_accelerator(controller.get());
-  pipe.set_pc(prog.base);
+/// One run of a compiled unit; the workload owns the final memory image.
+struct SimRun {
+  flow::Workload workload;
   std::vector<Retired> trace;
-  pipe.set_retire_hook([&trace](std::uint32_t pc, const isa::Instruction& i) {
-    trace.push_back(Retired{pc, i.op});
-  });
-  pipe.run(50'000'000);
-  return trace;
+  RegFile regs;
+  PipelineStats stats;
+};
+
+std::unique_ptr<zolc::ZolcController> make_controller(
+    const flow::CompiledUnit& unit) {
+  if (const auto variant = codegen::machine_zolc_variant(unit.machine())) {
+    return std::make_unique<zolc::ZolcController>(*variant, unit.geometry());
+  }
+  return nullptr;
 }
 
-std::vector<Retired> iss_trace(const codegen::Program& prog,
-                               const kernels::Kernel* kernel) {
-  mem::Memory memory;
-  prog.load_into(memory);
-  if (kernel != nullptr) kernel->setup({}, memory);
-  std::unique_ptr<zolc::ZolcController> controller;
-  if (const auto variant = codegen::machine_zolc_variant(prog.machine)) {
-    controller = std::make_unique<zolc::ZolcController>(*variant);
-  }
-  Iss iss(memory);
+SimRun pipeline_run(const flow::CompiledUnit& unit, PipelineConfig config,
+                    bool predecoded) {
+  SimRun out{flow::Workload::prepare(unit), {}, {}, {}};
+  const auto controller = make_controller(unit);
+  Pipeline pipe(out.workload.memory(), config);
+  pipe.set_accelerator(controller.get());
+  if (predecoded) pipe.set_code_image(unit.image());
+  pipe.set_pc(unit.program().base);
+  pipe.set_retire_hook([&out](std::uint32_t pc, const isa::Instruction& i) {
+    out.trace.push_back(Retired{pc, i.op});
+  });
+  pipe.run(50'000'000);
+  out.regs = pipe.regs();
+  out.stats = pipe.stats();
+  return out;
+}
+
+SimRun iss_run(const flow::CompiledUnit& unit) {
+  SimRun out{flow::Workload::prepare(unit), {}, {}, {}};
+  const auto controller = make_controller(unit);
+  Iss iss(out.workload.memory());
   iss.set_accelerator(controller.get());
-  iss.set_pc(prog.base);
-  std::vector<Retired> trace;
-  iss.set_retire_hook([&trace](std::uint32_t pc, const isa::Instruction& i) {
-    trace.push_back(Retired{pc, i.op});
+  iss.set_pc(unit.program().base);
+  iss.set_retire_hook([&out](std::uint32_t pc, const isa::Instruction& i) {
+    out.trace.push_back(Retired{pc, i.op});
   });
   iss.run(50'000'000);
-  return trace;
+  out.regs = iss.regs();
+  return out;
 }
 
 void expect_traces_equal(const std::vector<Retired>& a,
@@ -74,47 +88,84 @@ void expect_traces_equal(const std::vector<Retired>& a,
   }
 }
 
+/// All eight PipelineConfigs: branch resolve x speculation x forwarding.
+std::vector<PipelineConfig> all_configs() {
+  std::vector<PipelineConfig> out;
+  for (const auto resolve :
+       {BranchResolveStage::kExecute, BranchResolveStage::kDecode}) {
+    for (const auto speculation :
+         {SpeculationPolicy::kRollback, SpeculationPolicy::kGate}) {
+      for (const bool forwarding : {true, false}) {
+        out.push_back(PipelineConfig{resolve, speculation, forwarding});
+      }
+    }
+  }
+  return out;
+}
+
+std::string config_label(const PipelineConfig& c) {
+  return std::string(c.branch_resolve == BranchResolveStage::kDecode
+                         ? "resolve=ID"
+                         : "resolve=EX") +
+         (c.speculation == SpeculationPolicy::kGate ? " gate" : " rollback") +
+         (c.forwarding ? " fwd" : " no-fwd");
+}
+
 struct TraceCase {
-  const char* kernel;
-  codegen::MachineKind machine;
+  std::string kernel;
+  MachineKind machine;
 };
+
+std::vector<TraceCase> all_cases() {
+  std::vector<TraceCase> out;
+  for (const auto* registry :
+       {&kernels::kernel_registry(), &kernels::extended_kernel_registry()}) {
+    for (const auto& kernel : *registry) {
+      for (const MachineKind machine : codegen::kAllMachines) {
+        out.push_back(TraceCase{std::string(kernel->name()), machine});
+      }
+    }
+  }
+  return out;
+}
 
 class TraceCoSim : public ::testing::TestWithParam<TraceCase> {};
 
 TEST_P(TraceCoSim, PipelineRetiresExactlyTheIssStream) {
   const auto& [name, machine] = GetParam();
-  const kernels::Kernel* kernel = kernels::find_kernel(name);
-  ASSERT_NE(kernel, nullptr);
-  auto prog = codegen::lower(kernel->build({}), machine, 0x1000);
-  ASSERT_TRUE(prog.ok());
+  flow::CompileSpec spec;
+  spec.kernel = name;
+  spec.machine = machine;
+  const auto unit = flow::CompiledUnit::compile(spec);
+  ASSERT_TRUE(unit.ok()) << unit.error().to_string();
 
-  const auto reference = iss_trace(prog.value(), kernel);
-  ASSERT_FALSE(reference.empty());
-  expect_traces_equal(pipeline_trace(prog.value(), kernel), reference);
+  const SimRun reference = iss_run(unit.value());
+  ASSERT_FALSE(reference.trace.empty());
+  ASSERT_TRUE(reference.workload.verify().ok());
 
-  // The stream is also microarchitecture-independent.
-  PipelineConfig decode_cfg;
-  decode_cfg.branch_resolve = BranchResolveStage::kDecode;
-  expect_traces_equal(pipeline_trace(prog.value(), kernel, decode_cfg),
-                      reference);
-  PipelineConfig gate_cfg;
-  gate_cfg.speculation = SpeculationPolicy::kGate;
-  expect_traces_equal(pipeline_trace(prog.value(), kernel, gate_cfg),
-                      reference);
+  // The stream is microarchitecture-independent and fetch-path-independent.
+  for (const PipelineConfig& config : all_configs()) {
+    const SimRun decoded = pipeline_run(unit.value(), config, false);
+    const SimRun predecoded = pipeline_run(unit.value(), config, true);
+    for (const SimRun* run : {&decoded, &predecoded}) {
+      SCOPED_TRACE(config_label(config) +
+                   (run == &predecoded ? " predecoded" : " memory-fetch"));
+      expect_traces_equal(run->trace, reference.trace);
+      EXPECT_TRUE(run->regs == reference.regs) << "register file diverged";
+      EXPECT_TRUE(run->workload.memory() == reference.workload.memory())
+          << "memory image diverged";
+    }
+    EXPECT_TRUE(decoded.stats == predecoded.stats)
+        << config_label(config) << ": pipeline statistics depend on the "
+        << "fetch path";
+    EXPECT_EQ(decoded.stats.instructions, reference.trace.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Cases, TraceCoSim,
-    ::testing::Values(
-        TraceCase{"crc32", codegen::MachineKind::kZolcLite},
-        TraceCase{"me_tss", codegen::MachineKind::kZolcFull},
-        TraceCase{"me_tss", codegen::MachineKind::kZolcLite},
-        TraceCase{"fft", codegen::MachineKind::kUZolc},
-        TraceCase{"conv2d", codegen::MachineKind::kZolcLite},
-        TraceCase{"vecmax", codegen::MachineKind::kXrDefault},
-        TraceCase{"matmul", codegen::MachineKind::kXrHrdwil}),
+    Cases, TraceCoSim, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<TraceCase>& info) {
-      return std::string(info.param.kernel) + "_" +
+      return info.param.kernel + "_" +
              std::string(codegen::machine_name(info.param.machine));
     });
 
@@ -122,15 +173,16 @@ TEST(TraceCoSim, WrongPathInstructionsNeverRetire) {
   // A ZOLC program whose body branches constantly (the rollback stress
   // kernel): every retired pc must lie inside the program image, and no
   // instruction after a taken exit's shadow may appear.
-  const kernels::Kernel* kernel = kernels::find_kernel("me_tss");
-  auto prog = codegen::lower(kernel->build({}),
-                             codegen::MachineKind::kZolcFull, 0x1000);
-  ASSERT_TRUE(prog.ok());
-  const auto trace = pipeline_trace(prog.value(), kernel);
-  const std::uint32_t lo = prog.value().base;
+  flow::CompileSpec spec;
+  spec.kernel = "me_tss";
+  spec.machine = MachineKind::kZolcFull;
+  const auto unit = flow::CompiledUnit::compile(spec);
+  ASSERT_TRUE(unit.ok());
+  const auto run = pipeline_run(unit.value(), {}, true);
+  const std::uint32_t lo = unit.value().program().base;
   const std::uint32_t hi =
-      lo + static_cast<std::uint32_t>(prog.value().code.size()) * 4;
-  for (const Retired& r : trace) {
+      lo + static_cast<std::uint32_t>(unit.value().program().code.size()) * 4;
+  for (const Retired& r : run.trace) {
     ASSERT_GE(r.pc, lo);
     ASSERT_LT(r.pc, hi);
     ASSERT_NE(r.op, isa::Opcode::kInvalid);

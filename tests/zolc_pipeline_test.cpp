@@ -6,6 +6,10 @@
 // jumps. Every program is also co-simulated on the ISS golden model.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "assembler/assembler.hpp"
 #include "sim_test_util.hpp"
 #include "zolc/controller.hpp"
 
@@ -440,6 +444,124 @@ TEST(ZolcPipeline, MicroVariantZeroOverhead) {
   const std::uint64_t retired = 23 + 2 * kN + 1;
   EXPECT_EQ(r.pipe_stats.cycles, retired + 4);
   EXPECT_TRUE(r.controller_active);  // uZOLC stays armed
+}
+
+// ---------------- two fetch events in flight ----------------
+
+/// Assembly source for two one-instruction tasks that redirect into each
+/// other: task 0 is a compare-branch whose redirect target (task 1) is
+/// itself a task end, whose redirect target is task 0 again. Every fetch in
+/// the region raises an event, so IF/ID and ID/EX both carry one and this
+/// cycle's fetch raises a third. The branch is taken once the loop-0 index
+/// reaches 3: its own event and the two younger ones are wrong-path.
+std::string chained_task_source() {
+  LoopEntry lp;
+  lp.final = 100;
+  lp.step = 1;
+  lp.valid = true;
+  TaskEntry te;
+  te.valid = true;
+  std::ostringstream src;
+  src << std::hex << std::showbase;
+  const auto table_write = [&src](const char* op, int idx,
+                                  std::uint32_t payload) {
+    src << "    li $t0, " << payload << "\n    " << op << " " << idx
+        << ", $t0\n";
+  };
+  src << "    .text 0x1000\n"
+         "    addi $v1, $zero, 0    ; task-1 work counter\n"
+         "    addi $a0, $zero, 0    ; loop-0 index\n"
+         "    addi $a1, $zero, 0    ; loop-1 index\n"
+         "    addi $a2, $zero, 3    ; exit when the loop-0 index reaches 3\n";
+  lp.index_rf = 4;
+  table_write("zolw.lp0", 0, lp.pack_word0());
+  table_write("zolw.lp1", 0, lp.pack_word1());
+  lp.index_rf = 5;
+  table_write("zolw.lp0", 1, lp.pack_word0());
+  table_write("zolw.lp1", 1, lp.pack_word1());
+  te.end_pc_ofs = 32;  // exit_br
+  te.loop_id = 0;
+  te.next_task_cont = 1;
+  te.next_task_done = 1;
+  table_write("zolw.te", 0, te.pack());
+  table_write("zolw.ts", 0, 32);
+  te.end_pc_ofs = 33;  // tail
+  te.loop_id = 1;
+  te.next_task_cont = 0;
+  te.next_task_done = 0;
+  te.is_last = true;
+  table_write("zolw.te", 1, te.pack());
+  table_write("zolw.ts", 1, 33);
+  src << "    li $t1, 0x1000\n"
+         "    zolon 0, $t1\n"
+         "    nop                   ; zolon is active before exit_br's fetch\n"
+         "exit_br:\n"
+         "    beq $a0, $a2, out     ; task 0: start == end\n"
+         "tail:\n"
+         "    addi $v1, $v1, 1      ; task 1: start == end\n"
+         "out:\n"
+         "    halt\n";
+  return src.str();
+}
+
+TEST(ZolcPipeline, OlderOfTwoInFlightFetchEventsIsRestored) {
+  const auto assembled = assembler::assemble(chained_task_source());
+  ASSERT_TRUE(assembled.ok()) << assembled.error().to_string();
+  const assembler::AsmProgram& prog = assembled.value();
+  ASSERT_EQ(prog.symbols.at("exit_br"), kBase + 32 * 4);
+  ASSERT_EQ(prog.symbols.at("tail"), kBase + 33 * 4);
+
+  mem::Memory iss_mem;
+  prog.load_into(iss_mem);
+  ZolcController iss_ctrl(ZolcVariant::kLite);
+  cpu::Iss iss(iss_mem);
+  iss.set_accelerator(&iss_ctrl);
+  iss.set_pc(prog.entry);
+  std::vector<std::uint32_t> iss_pcs;
+  iss.set_retire_hook([&iss_pcs](std::uint32_t pc, const Instruction&) {
+    iss_pcs.push_back(pc);
+  });
+  iss.run(10'000);
+  // Three full passes, then the taken branch discards its own event.
+  EXPECT_EQ(iss.regs().read(3), 3);
+  EXPECT_EQ(iss.regs().read(4), 3);
+  EXPECT_EQ(iss.regs().read(5), 3);
+
+  // Wrong-path events past the taken branch: the EX-resolved branch shadow
+  // holds two fetches (tail, then exit_br again), the ID-resolved one.
+  for (const auto& [resolve, shadow_events] :
+       {std::pair{BranchResolveStage::kExecute, 2u},
+        std::pair{BranchResolveStage::kDecode, 1u}}) {
+    SCOPED_TRACE(resolve == BranchResolveStage::kExecute ? "resolve in EX"
+                                                         : "resolve in ID");
+    mem::Memory pipe_mem;
+    prog.load_into(pipe_mem);
+    ZolcController pipe_ctrl(ZolcVariant::kLite);
+    PipelineConfig config;
+    config.branch_resolve = resolve;
+    cpu::Pipeline pipe(pipe_mem, config);
+    pipe.set_accelerator(&pipe_ctrl);
+    pipe.set_pc(prog.entry);
+    std::vector<std::uint32_t> pipe_pcs;
+    pipe.set_retire_hook([&pipe_pcs](std::uint32_t pc, const Instruction&) {
+      pipe_pcs.push_back(pc);
+    });
+    pipe.run(10'000);
+
+    EXPECT_EQ(pipe_pcs, iss_pcs);
+    EXPECT_TRUE(pipe.regs() == iss.regs());
+    EXPECT_EQ(pipe.stats().zolc_fetch_events,
+              iss.stats().zolc_fetch_events + shadow_events);
+    // One restore undoes all of them: the branch's own (oldest) snapshot,
+    // taken before the loop-0 index advanced past 3 and task 1 was entered.
+    EXPECT_EQ(pipe.stats().zolc_rollbacks, 1u);
+    const cpu::AccelSnapshot snap = pipe_ctrl.snapshot();
+    EXPECT_TRUE(snap == iss_ctrl.snapshot());
+    EXPECT_TRUE(snap.active);
+    EXPECT_EQ(snap.current_task, 0u);
+    EXPECT_EQ(snap.loop_current[0], 3);
+    EXPECT_EQ(snap.loop_current[1], 3);
+  }
 }
 
 // ---------------- all configurations agree ----------------
