@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <system_error>
 
 #include "common/contracts.hpp"
@@ -286,98 +288,184 @@ Result<Value> parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+// ---- Writer ----
+
+Writer& Writer::begin(char open, bool object, Layout layout) {
+  before_value();
+  if (stack_.empty()) root_lines_ = layout == Layout::kLines;
+  stack_.push_back(Frame{layout, object});
+  put(open);
+  return *this;
+}
+
+Writer& Writer::wrap(std::size_t per_line) {
+  ZS_EXPECTS(!stack_.empty() && per_line > 0);
+  Frame& frame = stack_.back();
+  ZS_EXPECTS(frame.layout == Layout::kInline && frame.count == 0);
+  frame.per_line = per_line;
+  return *this;
+}
+
+Writer& Writer::end() {
+  ZS_EXPECTS(!stack_.empty() && !key_pending_);
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (frame.count != 0 &&
+      (frame.layout == Layout::kLines || frame.per_line != 0)) {
+    newline_indent(stack_.size());
+  }
+  put(frame.object ? '}' : ']');
+  return *this;
+}
+
+Writer& Writer::value(double n) {
+  // Integral doubles within the 53-bit exact window print as integers (the
+  // form every count in the repo's documents uses); everything else takes
+  // the shortest round-trip form from to_chars.
+  constexpr double kExactMax = 9007199254740992.0;  // 2^53
+  if (n >= -kExactMax && n <= kExactMax &&
+      n == static_cast<double>(static_cast<std::int64_t>(n))) {
+    return value(static_cast<std::int64_t>(n));
+  }
+  before_value();
+  char* at = room(64);
+  const auto [end, ec] = std::to_chars(at, at + 64, n);
+  ZS_ASSERT(ec == std::errc());
+  used_ = static_cast<std::size_t>(end - buf_.get());
+  return *this;
+}
+
+Writer& Writer::null() {
+  before_value();
+  put("null");
+  return *this;
+}
+
+Writer& Writer::fixed(double n, int digits) {
+  before_value();
+  char* at = room(64);
+  const int length = std::snprintf(at, 64, "%.*f", digits, n);
+  ZS_ASSERT(length > 0 && length < 64);
+  used_ += static_cast<std::size_t>(length);
+  return *this;
+}
+
+Writer& Writer::raw(std::string_view document) {
+  while (!document.empty() && document.back() == '\n') {
+    document.remove_suffix(1);
+  }
+  before_value();
+  put(document);
+  return *this;
+}
+
+std::string Writer::take() {
+  ZS_EXPECTS(stack_.empty() && !key_pending_ && used_ != 0);
+  if (root_lines_) put('\n');
+  return std::string(buf_.get(), used_);
+}
+
+void Writer::before_unkeyed_value() {
+  if (stack_.empty()) {
+    ZS_EXPECTS(used_ == 0);  // one root value per document
+    return;
+  }
+  ZS_EXPECTS(!stack_.back().object);  // object members go through key()
+  next_element();
+}
+
+void Writer::next_element_on_lines() {
+  Frame& frame = stack_.back();
+  const bool lines = frame.layout == Layout::kLines;
+  if (frame.count != 0) {
+    put(',');
+    if (!lines && style_ == Style::kSpaced) put(' ');
+  }
+  if (lines || frame.count % frame.per_line == 0) {
+    newline_indent(stack_.size());
+  }
+  ++frame.count;
+}
+
+void Writer::grow(std::size_t n) {
+  cap_ = 2 * cap_ + n + 256;
+  std::unique_ptr<char[]> grown(new char[cap_]);
+  if (used_ != 0) std::memcpy(grown.get(), buf_.get(), used_);
+  buf_ = std::move(grown);
+}
+
+void Writer::newline_indent(std::size_t depth) {
+  char* at = room(1 + 2 * depth);
+  at[0] = '\n';
+  std::memset(at + 1, ' ', 2 * depth);
+  used_ += 1 + 2 * depth;
+}
+
+void Writer::quoted(std::string_view s) {
+  put('"');
+  std::size_t run = 0;  // start of the pending run that needs no escaping
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    put(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
+      case '"': put("\\\""); break;
+      case '\\': put("\\\\"); break;
+      case '\n': put("\\n"); break;
+      case '\r': put("\\r"); break;
+      case '\t': put("\\t"); break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        put("\\u00");
+        put(kHex[c >> 4]);
+        put(kHex[c & 0xF]);
         break;
+      }
     }
   }
-  return out;
+  put(s.substr(run));
+  put('"');
 }
 
 namespace {
 
-void serialize_into(const Value& value, std::string& out) {
+void write_value(Writer& writer, const Value& value) {
   switch (value.kind()) {
     case Value::Kind::kNull:
-      out += "null";
+      writer.null();
       break;
     case Value::Kind::kBool:
-      out += value.as_bool() ? "true" : "false";
+      writer.value(value.as_bool());
       break;
-    case Value::Kind::kNumber: {
-      const double n = value.as_number();
-      // Integral doubles within the 53-bit exact window print as integers
-      // (the form every count in the repo's documents uses); everything
-      // else takes the shortest round-trip form from to_chars.
-      constexpr double kExactMax = 9007199254740992.0;  // 2^53
-      if (n == static_cast<double>(static_cast<std::int64_t>(n)) &&
-          n >= -kExactMax && n <= kExactMax) {
-        out += std::to_string(static_cast<std::int64_t>(n));
-        break;
-      }
-      char buffer[64];
-      const auto [end, ec] =
-          std::to_chars(buffer, buffer + sizeof(buffer), n);
-      ZS_ASSERT(ec == std::errc());
-      out.append(buffer, end);
+    case Value::Kind::kNumber:
+      writer.value(value.as_number());
       break;
-    }
     case Value::Kind::kString:
-      out += '"';
-      out += escape(value.as_string());
-      out += '"';
+      writer.value(value.as_string());
       break;
-    case Value::Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const Value& item : value.items()) {
-        if (!first) out += ',';
-        first = false;
-        serialize_into(item, out);
-      }
-      out += ']';
+    case Value::Kind::kArray:
+      writer.begin_array();
+      for (const Value& item : value.items()) write_value(writer, item);
+      writer.end();
       break;
-    }
-    case Value::Kind::kObject: {
-      out += '{';
-      bool first = true;
+    case Value::Kind::kObject:
+      writer.begin_object();
       for (const Value::Member& member : value.members()) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += escape(member.first);
-        out += "\":";
-        serialize_into(member.second, out);
+        writer.key(member.first);
+        write_value(writer, member.second);
       }
-      out += '}';
+      writer.end();
       break;
-    }
   }
 }
 
 }  // namespace
 
 std::string serialize(const Value& value) {
-  std::string out;
-  serialize_into(value, out);
-  return out;
+  Writer writer(Writer::Style::kCompact);
+  write_value(writer, value);
+  return writer.take();
 }
 
 }  // namespace zolcsim::json

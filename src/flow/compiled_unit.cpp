@@ -144,77 +144,61 @@ std::string CompiledUnit::disassembly() const {
 }
 
 std::string CompiledUnit::to_json() const {
-  std::string out = "{\n";
-  out += "  \"kernel\": \"" + json::escape(spec_.kernel) + "\",\n";
-  out += "  \"machine\": \"";
-  out += codegen::machine_name(spec_.machine);
-  out += "\",\n";
-  out += "  \"geometry\": \"" + spec_.geometry.label() + "\",\n";
-  out += "  \"program\": {\n";
-  out += "    \"base\": \"" + hex32(program_.base) + "\",\n";
-  out += "    \"init_instructions\": " +
-         std::to_string(program_.init_instructions) + ",\n";
-  out += "    \"hw_loops\": " + std::to_string(program_.hw_loop_count) +
-         ",\n";
-  out += "    \"sw_loops\": " + std::to_string(program_.sw_loop_count) +
-         ",\n";
-  out += "    \"notes\": [";
-  for (std::size_t i = 0; i < program_.notes.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += '"';
-    out += json::escape(program_.notes[i]);
-    out += '"';
+  using Layout = json::Writer::Layout;
+  json::Writer w;
+  w.begin_object(Layout::kLines)
+      .member("kernel", spec_.kernel)
+      .member("machine", codegen::machine_name(spec_.machine))
+      .member("geometry", spec_.geometry.label());
+  w.key("program")
+      .begin_object(Layout::kLines)
+      .member("base", hex32(program_.base))
+      .member("init_instructions", program_.init_instructions)
+      .member("hw_loops", program_.hw_loop_count)
+      .member("sw_loops", program_.sw_loop_count)
+      .key("notes")
+      .begin_array();
+  for (const std::string& note : program_.notes) w.value(note);
+  w.end().key("words").begin_array().wrap(8);
+  for (const isa::Instruction& instr : program_.code) {
+    w.value(hex32(isa::encode(instr)));
   }
-  out += "],\n";
-  out += "    \"words\": [";
-  for (std::size_t i = 0; i < program_.code.size(); ++i) {
-    if (i != 0) out += ", ";
-    if (i % 8 == 0) out += "\n      ";
-    out += '"';
-    out += hex32(isa::encode(program_.code[i]));
-    out += '"';
-  }
-  out += "\n    ]\n  },\n";
+  w.end().end();
 
-  out += "  \"tables\": [";
-  const std::vector<TableWrite> writes = collect_table_writes(program_);
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    if (i != 0) out += ",";
-    out += "\n    {\"op\": \"";
-    out += writes[i].op;
-    out += "\", \"index\": " + std::to_string(writes[i].index) +
-           ", \"payload\": \"" + hex32(writes[i].payload) + "\"}";
+  w.key("tables").begin_array(Layout::kLines);
+  for (const TableWrite& write : collect_table_writes(program_)) {
+    w.begin_object()
+        .member("op", write.op)
+        .member("index", write.index)
+        .member("payload", hex32(write.payload))
+        .end();
   }
-  out += writes.empty() ? "],\n" : "\n  ],\n";
+  w.end();
 
-  out += "  \"scan\": {\n    \"candidates\": [";
-  for (std::size_t i = 0; i < scan_.candidates.size(); ++i) {
-    const cfg::MicroPlan& plan = scan_.candidates[i];
-    if (i != 0) out += ",";
-    out += "\n      {\"depth\": " + std::to_string(plan.depth) +
-           ", \"start_pc\": \"" + hex32(plan.start_pc) +
-           "\", \"end_pc\": \"" + hex32(plan.end_pc) +
-           "\", \"index_reg\": " + std::to_string(plan.index_reg) +
-           ", \"initial\": " + std::to_string(plan.initial) +
-           ", \"final\": " + std::to_string(plan.final) +
-           ", \"step\": " + std::to_string(plan.step) +
-           ", \"cond\": " +
-           std::to_string(static_cast<unsigned>(plan.cond)) +
-           ", \"update_index\": " + std::to_string(plan.update_index) +
-           ", \"branch_index\": " + std::to_string(plan.branch_index) + "}";
+  w.key("scan").begin_object(Layout::kLines);
+  w.key("candidates").begin_array(Layout::kLines);
+  for (const cfg::MicroPlan& plan : scan_.candidates) {
+    w.begin_object()
+        .member("depth", plan.depth)
+        .member("start_pc", hex32(plan.start_pc))
+        .member("end_pc", hex32(plan.end_pc))
+        .member("index_reg", plan.index_reg)
+        .member("initial", plan.initial)
+        .member("final", plan.final)
+        .member("step", plan.step)
+        .member("cond", static_cast<unsigned>(plan.cond))
+        .member("update_index", plan.update_index)
+        .member("branch_index", plan.branch_index)
+        .end();
   }
-  out += scan_.candidates.empty() ? "],\n" : "\n    ],\n";
-  out += "    \"rejected\": [";
-  for (std::size_t i = 0; i < scan_.rejected.size(); ++i) {
-    const Error& reason = scan_.rejected[i];
-    if (i != 0) out += ",";
-    out += "\n      {\"code\": \"";
-    out += error_code_name(reason.code);
-    out += "\", \"message\": \"" + json::escape(reason.message) + "\"}";
+  w.end().key("rejected").begin_array(Layout::kLines);
+  for (const Error& reason : scan_.rejected) {
+    w.begin_object()
+        .member("code", error_code_name(reason.code))
+        .member("message", reason.message)
+        .end();
   }
-  out += scan_.rejected.empty() ? "]\n  }\n" : "\n    ]\n  }\n";
-  out += "}\n";
-  return out;
+  return w.end().end().end().take();
 }
 
 }  // namespace zolcsim::flow

@@ -19,7 +19,6 @@ namespace zolcsim::flow {
 struct RunPlan {
   cpu::PipelineConfig config;
   std::uint64_t max_cycles = 200'000'000;
-  bool predecode = true;  ///< use the unit's predecoded instruction image
   /// Execution mode: pipeline (default), ISS, or ISS with the loop-summary
   /// fast path. ISS runs ignore `config` and report cycles == instructions
   /// (the functional model is 1-CPI by construction); `max_cycles` bounds

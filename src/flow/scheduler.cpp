@@ -95,7 +95,7 @@ Result<harness::ExperimentResult> run_tenants(const CompiledUnit& unit,
   for (std::size_t i = 0; i < n; ++i) {
     auto iss = std::make_unique<cpu::Iss>(workloads[i].memory());
     iss->set_accelerator(controller.get());
-    if (plan.predecode) iss->set_code_image(unit.image());
+    iss->set_code_image(unit.image());
     iss->set_fast_path(plan.mode.fast_path);
     iss->set_pc(program.base);
     cpus.push_back(std::move(iss));

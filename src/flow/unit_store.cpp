@@ -71,24 +71,6 @@ namespace fs = std::filesystem;
   return v == nullptr ? std::nullopt : v->as_uint();
 }
 
-/// The envelope's numeric geometry object (label strings are display-only).
-[[nodiscard]] std::string geometry_json(const zolc::ZolcGeometry& g) {
-  return "{\"tasks\": " + std::to_string(g.max_tasks) +
-         ", \"loops\": " + std::to_string(g.max_loops) +
-         ", \"exits\": " + std::to_string(g.max_exits_per_loop) +
-         ", \"entries\": " + std::to_string(g.max_entries_per_loop) +
-         ", \"pc_ofs_bits\": " + std::to_string(g.pc_ofs_bits) + "}";
-}
-
-[[nodiscard]] std::string env_json(const kernels::KernelEnv& env) {
-  return "{\"code_base\": \"" + hex32(env.code_base) + "\", \"in_base\": \"" +
-         hex32(env.in_base) + "\", \"in2_base\": \"" + hex32(env.in2_base) +
-         "\", \"out_base\": \"" + hex32(env.out_base) +
-         "\", \"aux_base\": \"" + hex32(env.aux_base) +
-         "\", \"scale\": " + std::to_string(env.scale) + ", \"seed\": \"" +
-         hex32(env.seed) + "\"}";
-}
-
 /// Rebuilds the CompileSpec from the envelope's "spec" object.
 [[nodiscard]] std::optional<CompileSpec> parse_spec(const json::Value& spec) {
   const json::Value* kernel = spec.find("kernel");
@@ -343,22 +325,39 @@ Result<void> UnitStore::save(const CompiledUnit& unit) {
   if (ec) return io_error("cannot create store directory", dir_);
 
   const std::string payload = unit.to_json();
-  std::string out = "{\n";
-  out += "  \"format\": \"" + std::string(kFormat) + "\",\n";
-  out += "  \"tag\": \"" + json::escape(toolchain_tag()) + "\",\n";
-  out += "  \"spec\": {\n";
-  out += "    \"kernel\": \"" + json::escape(unit.spec().kernel) + "\",\n";
-  out += "    \"machine\": \"";
-  out += codegen::machine_name(unit.spec().machine);
-  out += "\",\n";
-  out += "    \"geometry\": " + geometry_json(unit.spec().geometry) + ",\n";
-  out += "    \"env\": " + env_json(unit.spec().env) + "\n";
-  out += "  },\n";
-  out += "  \"payload_fnv1a64\": \"" + hex64(fnv1a64(payload)) + "\",\n";
-  out += "  \"unit\": ";
-  out += payload;
-  while (!out.empty() && out.back() == '\n') out.pop_back();
-  out += "\n}\n";
+  const CompileSpec& spec = unit.spec();
+  const zolc::ZolcGeometry& g = spec.geometry;
+  const kernels::KernelEnv& env = spec.env;
+  using Layout = json::Writer::Layout;
+  json::Writer w;
+  w.begin_object(Layout::kLines)
+      .member("format", kFormat)
+      .member("tag", toolchain_tag())
+      .key("spec")
+      .begin_object(Layout::kLines)
+      .member("kernel", spec.kernel)
+      .member("machine", codegen::machine_name(spec.machine));
+  // The envelope's numeric geometry object (label strings are display-only).
+  w.key("geometry")
+      .begin_object()
+      .member("tasks", g.max_tasks)
+      .member("loops", g.max_loops)
+      .member("exits", g.max_exits_per_loop)
+      .member("entries", g.max_entries_per_loop)
+      .member("pc_ofs_bits", g.pc_ofs_bits)
+      .end();
+  w.key("env")
+      .begin_object()
+      .member("code_base", hex32(env.code_base))
+      .member("in_base", hex32(env.in_base))
+      .member("in2_base", hex32(env.in2_base))
+      .member("out_base", hex32(env.out_base))
+      .member("aux_base", hex32(env.aux_base))
+      .member("scale", env.scale)
+      .member("seed", hex32(env.seed))
+      .end();
+  w.end().member("payload_fnv1a64", hex64(fnv1a64(payload)));
+  const std::string out = w.key("unit").raw(payload).end().take();
 
   // Atomic publish: a concurrent load() sees the old artifact or the new
   // one, never a torn write. The temp name is per-process so two processes
@@ -448,6 +447,21 @@ Result<std::vector<UnitStore::ArtifactInfo>> UnitStore::scan_artifacts()
     out.push_back(std::move(info));
   }
   return out;
+}
+
+Result<UnitStore::Inventory> UnitStore::inventory() const {
+  auto scanned = scan_artifacts();
+  if (!scanned.ok()) return std::move(scanned).error();
+  Inventory tally;
+  for (const ArtifactInfo& info : scanned.value()) {
+    switch (info.state) {
+      case ArtifactInfo::State::kCurrent: ++tally.current; break;
+      case ArtifactInfo::State::kStale: ++tally.stale; break;
+      case ArtifactInfo::State::kCorrupt: ++tally.corrupt; break;
+    }
+    tally.bytes += info.bytes;
+  }
+  return tally;
 }
 
 Result<UnitStore::GcOutcome> UnitStore::gc() {

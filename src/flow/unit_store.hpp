@@ -93,6 +93,16 @@ class UnitStore {
   /// empty store; kIo only for real filesystem failures.
   [[nodiscard]] Result<std::vector<ArtifactInfo>> scan_artifacts() const;
 
+  /// scan_artifacts() tallied by state: what `store stat` and the daemon's
+  /// store-stat reply report.
+  struct Inventory {
+    std::size_t current = 0;
+    std::size_t stale = 0;
+    std::size_t corrupt = 0;
+    std::uint64_t bytes = 0;
+  };
+  [[nodiscard]] Result<Inventory> inventory() const;
+
   struct GcOutcome {
     std::size_t removed = 0;
     std::uint64_t bytes_freed = 0;

@@ -17,7 +17,6 @@ Result<ExperimentResult> run_experiment(const kernels::Kernel& kernel,
                                         const kernels::KernelEnv& env,
                                         cpu::PipelineConfig config,
                                         std::uint64_t max_cycles,
-                                        bool predecode,
                                         const zolc::ZolcGeometry& geometry) {
   flow::CompileSpec spec;
   spec.kernel = std::string(kernel.name());
@@ -29,7 +28,6 @@ Result<ExperimentResult> run_experiment(const kernels::Kernel& kernel,
   flow::RunPlan plan;
   plan.config = config;
   plan.max_cycles = max_cycles;
-  plan.predecode = predecode;
   return flow::run(unit.value(), plan);
 }
 

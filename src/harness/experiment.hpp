@@ -72,9 +72,7 @@ struct ExperimentResult {
 
 /// Runs one (kernel, machine) experiment. Output verification failures and
 /// lowering errors are returned as Error (a failed verification is a bug,
-/// never a reportable data point). `predecode` selects the predecoded
-/// instruction-image fetch fast path (identical architectural behaviour;
-/// off is kept for throughput comparisons). `geometry` sizes the ZOLC
+/// never a reportable data point). `geometry` sizes the ZOLC
 /// controller and drives the lowering's capacity decisions (ignored for
 /// non-ZOLC machines; the default is the paper prototype).
 ///
@@ -85,7 +83,7 @@ struct ExperimentResult {
 [[nodiscard]] Result<ExperimentResult> run_experiment(
     const kernels::Kernel& kernel, codegen::MachineKind machine,
     const kernels::KernelEnv& env = {}, cpu::PipelineConfig config = {},
-    std::uint64_t max_cycles = 200'000'000, bool predecode = true,
+    std::uint64_t max_cycles = 200'000'000,
     const zolc::ZolcGeometry& geometry = zolc::ZolcGeometry{});
 
 /// Percentage cycle reduction of `cycles` vs `baseline` (paper's metric).

@@ -222,10 +222,12 @@ std::string SweepReport::to_json() const {
   const bool with_geometry = has_geometry_axis();
   const bool with_mode = has_mode_axis();
   const bool with_tenants = has_tenant_axis();
-  std::string out = "{\n  \"baseline\": \"";
-  out += codegen::machine_name(baseline);
-  out += "\",\n  \"cells\": [\n";
-  bool first = true;
+  using Layout = json::Writer::Layout;
+  json::Writer w;
+  w.begin_object(Layout::kLines)
+      .member("baseline", codegen::machine_name(baseline))
+      .key("cells")
+      .begin_array(Layout::kLines);
   for (std::size_t k = 0; k < kernels.size(); ++k) {
     for (std::size_t m = 0; m < machines.size(); ++m) {
       for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -233,51 +235,34 @@ std::string SweepReport::to_json() const {
         for (std::size_t x = 0; x < modes.size(); ++x) {
         for (std::size_t t = 0; t < tenants.size(); ++t) {
           const ExperimentResult& r = at(k, m, c, g, x, t);
-          if (!first) out += ",\n";
-          first = false;
-          out += "    {\"kernel\": \"" + json::escape(kernels[k]) +
-                 "\", \"machine\": \"" +
-                 std::string(codegen::machine_name(machines[m])) +
-                 "\", \"config\": \"" + json::escape(config_name(configs[c])) +
-                 "\", ";
-          if (with_geometry) {
-            out += "\"geometry\": \"" + geometries[g].label() + "\", ";
-          }
-          if (with_mode) {
-            out += "\"mode\": \"" + std::string(mode_name(modes[x])) +
-                   "\", ";
-          }
+          w.begin_object()
+              .member("kernel", kernels[k])
+              .member("machine", codegen::machine_name(machines[m]))
+              .member("config", config_name(configs[c]));
+          if (with_geometry) w.member("geometry", geometries[g].label());
+          if (with_mode) w.member("mode", mode_name(modes[x]));
+          if (with_tenants) w.member("tenants", tenants[t]);
+          w.member("cycles", r.stats.cycles)
+              .member("instructions", r.stats.instructions)
+              .key("reduction_pct")
+              .fixed(reduction(k, m, c, g, x, t), 4)
+              .member("init_instructions", r.init_instructions)
+              .member("hw_loops", r.hw_loops)
+              .member("sw_loops", r.sw_loops)
+              .member("continue_events", r.zolc_stats.continue_events)
+              .member("done_events", r.zolc_stats.done_events);
           if (with_tenants) {
-            out += "\"tenants\": " + std::to_string(tenants[t]) + ", ";
+            w.member("ctx_switches", r.context_switches)
+                .member("ctx_switch_cycles", r.context_switch_cycles);
           }
-          out += "\"cycles\": " + std::to_string(r.stats.cycles) +
-                 ", \"instructions\": " +
-                 std::to_string(r.stats.instructions) +
-                 ", \"reduction_pct\": " +
-                 format_fixed(reduction(k, m, c, g, x, t), 4) +
-                 ", \"init_instructions\": " +
-                 std::to_string(r.init_instructions) +
-                 ", \"hw_loops\": " + std::to_string(r.hw_loops) +
-                 ", \"sw_loops\": " + std::to_string(r.sw_loops) +
-                 ", \"continue_events\": " +
-                 std::to_string(r.zolc_stats.continue_events) +
-                 ", \"done_events\": " +
-                 std::to_string(r.zolc_stats.done_events);
-          if (with_tenants) {
-            out += ", \"ctx_switches\": " +
-                   std::to_string(r.context_switches) +
-                   ", \"ctx_switch_cycles\": " +
-                   std::to_string(r.context_switch_cycles);
-          }
-          out += "}";
+          w.end();
         }
         }
         }
       }
     }
   }
-  out += "\n  ]\n}\n";
-  return out;
+  return w.end().end().take();
 }
 
 Result<SweepReport> run_sweep(const SweepSpec& spec) {
@@ -403,7 +388,6 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
         flow::RunPlan plan;
         plan.config = report.configs[c];
         plan.max_cycles = spec.max_cycles;
-        plan.predecode = spec.predecode;
         plan.mode = report.modes[x];
         plan.timing_reps = spec.timing_reps;
         plan.warm_start = spec.warm_start;
@@ -484,22 +468,6 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
     report.cells.push_back(std::move(cell));
   }
   return report;
-}
-
-unsigned uint_from_args(int argc, char** argv, std::string_view prefix) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (starts_with(arg, prefix)) {
-      if (const auto n = parse_int(arg.substr(prefix.size())); n && *n > 0) {
-        return static_cast<unsigned>(*n);
-      }
-    }
-  }
-  return 0;
-}
-
-unsigned threads_from_args(int argc, char** argv) {
-  return uint_from_args(argc, argv, "--threads=");
 }
 
 }  // namespace zolcsim::harness

@@ -44,7 +44,6 @@ struct SweepSpec {
   codegen::MachineKind baseline = codegen::MachineKind::kXrDefault;
   std::uint64_t max_cycles = 200'000'000;
   unsigned threads = 0;     ///< 0 = hardware concurrency
-  bool predecode = true;    ///< use the predecoded instruction image
   /// Timing repetitions per cell (RunPlan::timing_reps): wall_ns keeps the
   /// minimum over this many identical runs. Use >1 for suites whose cells
   /// are too short for stable one-shot MIPS.
@@ -179,7 +178,7 @@ struct SweepReport {
 };
 
 /// Short human-readable name for a pipeline config, e.g.
-/// "EX-resolve/rollback" (suffixes "/nofwd" and "/nopredecode" as needed).
+/// "EX-resolve/rollback" (suffix "/nofwd" without forwarding).
 [[nodiscard]] std::string config_name(const cpu::PipelineConfig& config);
 
 /// Executes the sweep against a caller-supplied compile cache, so several
@@ -193,14 +192,6 @@ struct SweepReport {
 
 /// Convenience overload for one-shot sweeps: a private cache per call.
 [[nodiscard]] Result<SweepReport> run_sweep(const SweepSpec& spec);
-
-/// Parses a "--name=N" unsigned flag from argv (for the bench binaries);
-/// 0 when absent, malformed, or non-positive.
-[[nodiscard]] unsigned uint_from_args(int argc, char** argv,
-                                      std::string_view prefix);
-
-/// Parses "--threads=N" from argv; 0 when absent.
-[[nodiscard]] unsigned threads_from_args(int argc, char** argv);
 
 }  // namespace zolcsim::harness
 

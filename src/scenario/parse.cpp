@@ -310,7 +310,6 @@ Result<void> parse_plan_members(const json::Value& object,
     r = bool_member(object, "preempt_serialize", plan.preempt_serialize,
                     where);
   }
-  if (r.ok()) r = bool_member(object, "predecode", plan.predecode, where);
   plan.tenants = static_cast<unsigned>(tenants);
   return r;
 }

@@ -82,8 +82,8 @@ namespace zolcsim::scenario {
                                               std::string_view where);
 
 /// The run-plan members: `config`, `mode`, `max_cycles`, `tenants` (1..64),
-/// `preempt_every`, `preempt_serialize`, `predecode`. Absent members keep
-/// the RunPlan defaults.
+/// `preempt_every`, `preempt_serialize`. Absent members keep the RunPlan
+/// defaults.
 [[nodiscard]] Result<void> parse_plan_members(const json::Value& object,
                                               flow::RunPlan& plan,
                                               std::string_view where);

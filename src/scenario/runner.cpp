@@ -231,94 +231,84 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
           : static_cast<double>(report.compile_cache_hits) /
                 static_cast<double>(total_compiles);
 
-  std::string out = "{\n";
-  out += "  \"schema\": \"" + std::string(kBenchSchema) + "\",\n";
-  out += "  \"suite\": \"" + json::escape(outcome.suite.name) + "\",\n";
-  out += "  \"description\": \"" + json::escape(outcome.suite.description) +
-         "\",\n";
-  out += "  \"git_sha\": \"" + json::escape(build_git_sha()) + "\",\n";
-  out += "  \"toolchain\": \"" + json::escape(build_toolchain()) + "\",\n";
-  out += "  \"baseline\": \"";
-  out += codegen::machine_name(report.baseline);
-  out += "\",\n";
-  out += "  \"wall_seconds\": " + format_fixed(outcome.wall_seconds, 4) +
-         ",\n";
-  out += "  \"mips\": " + format_fixed(outcome.mips, 2) + ",\n";
-  out += "  \"warm_start\": \"";
-  out += warm_start_name(outcome.suite.warm_start);
-  out += "\",\n";
-  out += "  \"compile_cache\": {\"hits\": " +
-         std::to_string(report.compile_cache_hits) +
-         ", \"misses\": " + std::to_string(report.compile_cache_misses) +
-         ", \"store_hits\": " +
-         std::to_string(report.compile_cache_store_hits) +
-         ", \"compiles\": " + std::to_string(report.compile_cache_compiles) +
-         ", \"hit_rate\": " + format_fixed(hit_rate, 3) + "},\n";
-  out += "  \"prepares\": {\"full\": " +
-         std::to_string(report.full_prepares) +
-         ", \"image_resets\": " + std::to_string(report.image_resets) +
-         "},\n";
-  out += "  \"csv_fnv1a64\": \"" + hex64(outcome.csv_fnv1a64) + "\",\n";
-  out += std::string("  \"golden\": \"") +
-         (outcome.golden_checked ? "match" : "unchecked") + "\",\n";
-  out += "  \"points\": [\n";
-  bool first = true;
+  using Layout = json::Writer::Layout;
+  json::Writer w;
+  w.begin_object(Layout::kLines)
+      .member("schema", kBenchSchema)
+      .member("suite", outcome.suite.name)
+      .member("description", outcome.suite.description)
+      .member("git_sha", build_git_sha())
+      .member("toolchain", build_toolchain())
+      .member("baseline", codegen::machine_name(report.baseline))
+      .key("wall_seconds")
+      .fixed(outcome.wall_seconds, 4)
+      .key("mips")
+      .fixed(outcome.mips, 2)
+      .member("warm_start", warm_start_name(outcome.suite.warm_start));
+  w.key("compile_cache")
+      .begin_object()
+      .member("hits", report.compile_cache_hits)
+      .member("misses", report.compile_cache_misses)
+      .member("store_hits", report.compile_cache_store_hits)
+      .member("compiles", report.compile_cache_compiles)
+      .key("hit_rate")
+      .fixed(hit_rate, 3)
+      .end();
+  w.key("prepares")
+      .begin_object()
+      .member("full", report.full_prepares)
+      .member("image_resets", report.image_resets)
+      .end();
+  w.member("csv_fnv1a64", hex64(outcome.csv_fnv1a64))
+      .member("golden", outcome.golden_checked ? "match" : "unchecked")
+      .key("points")
+      .begin_array(Layout::kLines);
   for (const harness::SweepCell& cell : report.cells) {
     const harness::ExperimentResult& r = cell.result;
-    if (!first) out += ",\n";
-    first = false;
-    out += "    {\"kernel\": \"" + json::escape(report.kernels[cell.kernel]) +
-           "\", \"machine\": \"";
-    out += codegen::machine_name(report.machines[cell.machine]);
-    out += "\", \"config\": \"" +
-           json::escape(harness::config_name(report.configs[cell.config])) +
-           "\", \"geometry\": \"" +
-           report.geometries[cell.geometry].label() + "\", \"mode\": \"" +
-           std::string(harness::mode_name(report.modes[cell.mode])) + "\", ";
+    w.begin_object()
+        .member("kernel", report.kernels[cell.kernel])
+        .member("machine", codegen::machine_name(report.machines[cell.machine]))
+        .member("config", harness::config_name(report.configs[cell.config]))
+        .member("geometry", report.geometries[cell.geometry].label())
+        .member("mode", harness::mode_name(report.modes[cell.mode]));
     if (report.has_tenant_axis()) {
       // Multi-tenant material: the tenant count plus the modeled
       // context-switch cost (reported alongside, never folded into,
       // cycles; DESIGN.md section 9).
-      out += "\"tenants\": " + std::to_string(report.tenants[cell.tenant]) +
-             ", \"ctx_switches\": " + std::to_string(r.context_switches) +
-             ", \"ctx_switch_cycles\": " +
-             std::to_string(r.context_switch_cycles) + ", ";
+      w.member("tenants", report.tenants[cell.tenant])
+          .member("ctx_switches", r.context_switches)
+          .member("ctx_switch_cycles", r.context_switch_cycles);
     }
-    out += "\"cycles\": " + std::to_string(r.stats.cycles) +
-           ", \"instructions\": " + std::to_string(r.stats.instructions) +
-           ", \"reduction_pct\": " +
-           format_fixed(
-               report.reduction(cell.kernel, cell.machine, cell.config,
+    w.member("cycles", r.stats.cycles)
+        .member("instructions", r.stats.instructions)
+        .key("reduction_pct")
+        .fixed(report.reduction(cell.kernel, cell.machine, cell.config,
                                 cell.geometry, cell.mode, cell.tenant),
-               4) +
-           ", \"wall_ns\": " + std::to_string(r.wall_ns) +
-           ", \"mips\": " + format_fixed(cell_mips(r), 2);
+               4)
+        .member("wall_ns", r.wall_ns)
+        .key("mips")
+        .fixed(cell_mips(r), 2);
     if (report.modes[cell.mode].fast_path) {
       // Fast-path effectiveness counters: host-side diagnostics, BENCH-only
       // (never part of the deterministic CSV/JSON sweep reports).
-      out += ", \"fastpath\": {\"attempts\": " +
-             std::to_string(r.fastpath.attempts) +
-             ", \"engagements\": " + std::to_string(r.fastpath.engagements) +
-             ", \"replayed_instructions\": " +
-             std::to_string(r.fastpath.replayed_instructions) +
-             ", \"replayed_backedges\": " +
-             std::to_string(r.fastpath.replayed_backedges) +
-             ", \"bailouts\": {";
-      bool first_bail = true;
+      w.key("fastpath")
+          .begin_object()
+          .member("attempts", r.fastpath.attempts)
+          .member("engagements", r.fastpath.engagements)
+          .member("replayed_instructions", r.fastpath.replayed_instructions)
+          .member("replayed_backedges", r.fastpath.replayed_backedges)
+          .key("bailouts")
+          .begin_object();
       for (std::size_t b = 0; b < cpu::kNumBailoutReasons; ++b) {
         if (r.fastpath.bailouts[b] == 0) continue;
-        if (!first_bail) out += ", ";
-        first_bail = false;
-        out += std::string("\"") +
-               cpu::bailout_reason_name(static_cast<cpu::BailoutReason>(b)) +
-               "\": " + std::to_string(r.fastpath.bailouts[b]);
+        w.key(cpu::bailout_reason_name(static_cast<cpu::BailoutReason>(b)))
+            .value(r.fastpath.bailouts[b]);
       }
-      out += "}}";
+      w.end().end();
     }
-    out += "}";
+    w.end();
   }
-  out += "\n  ]\n}\n";
-  return out;
+  return w.end().end().take();
 }
 
 std::string_view build_git_sha() {

@@ -89,8 +89,7 @@ Result<Request> parse_request(std::string_view payload) {
       parsed = reject_unknown_members(
           root,
           {"schema", "type", "kernel", "machine", "geometry", "config", "mode",
-           "max_cycles", "tenants", "preempt_every", "preempt_serialize",
-           "predecode"},
+           "max_cycles", "tenants", "preempt_every", "preempt_serialize"},
           "request", kWhere);
       break;
     case RequestType::kSweep:
@@ -153,24 +152,20 @@ std::uint32_t decode_frame_length(const unsigned char* header) {
          static_cast<std::uint32_t>(header[3]);
 }
 
+json::Writer begin_reply(std::string_view reply) {
+  json::Writer w;
+  w.begin_object().member("schema", kServeSchema).member("reply", reply);
+  return w;
+}
+
 std::string error_reply(const Error& error) {
-  std::string out = "{\"schema\": \"";
-  out += kServeSchema;
-  out += "\", \"reply\": \"error\", \"code\": \"";
-  out += error_code_name(error.code);
-  out += "\", \"message\": \"";
-  out += json::escape(error.message);
-  out += "\", \"context\": [";
-  bool first = true;
-  for (const std::string& frame : error.context) {
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    out += json::escape(frame);
-    out += '"';
-  }
-  out += "]}";
-  return out;
+  json::Writer w = begin_reply("error");
+  w.member("code", error_code_name(error.code))
+      .member("message", error.message)
+      .key("context")
+      .begin_array();
+  for (const std::string& frame : error.context) w.value(frame);
+  return w.end().end().take();
 }
 
 Result<json::Value> parse_reply(std::string_view payload) {

@@ -85,6 +85,10 @@ struct Request {
 /// Decodes a frame length prefix (exactly kFrameHeaderBytes bytes).
 [[nodiscard]] std::uint32_t decode_frame_length(const unsigned char* header);
 
+/// Starts a reply document: an inline object already carrying "schema" and
+/// "reply". The caller writes the reply's members and closes it with end().
+[[nodiscard]] json::Writer begin_reply(std::string_view reply);
+
 /// Renders the typed error reply for `error`.
 [[nodiscard]] std::string error_reply(const Error& error);
 

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/strings.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 
@@ -53,37 +52,36 @@ double percentile(std::vector<double> samples, double q) {
   return samples[std::min(rank, samples.size() - 1)];
 }
 
-std::string percentile_object(const std::vector<double>& samples,
-                              int digits) {
-  return "{\"p50\": " + format_fixed(percentile(samples, 0.50), digits) +
-         ", \"p90\": " + format_fixed(percentile(samples, 0.90), digits) +
-         ", \"p99\": " + format_fixed(percentile(samples, 0.99), digits) +
-         ", \"samples\": " + std::to_string(samples.size()) + "}";
-}
-
-std::string reply_head(std::string_view reply) {
-  std::string out = "{\"schema\": \"";
-  out += kServeSchema;
-  out += "\", \"reply\": \"";
-  out += reply;
-  out += "\"";
-  return out;
+void percentile_object(json::Writer& w, const std::vector<double>& samples,
+                       int digits) {
+  w.begin_object()
+      .key("p50")
+      .fixed(percentile(samples, 0.50), digits)
+      .key("p90")
+      .fixed(percentile(samples, 0.90), digits)
+      .key("p99")
+      .fixed(percentile(samples, 0.99), digits)
+      .member("samples", samples.size())
+      .end();
 }
 
 /// The shared warm-state counters of a sweep/bench reply: what this request
 /// compiled vs reused. These are the numbers the warm-serving story is
 /// measured by (a second identical request must report all-zero compiles
 /// and full prepares).
-std::string counters_members(const harness::SweepReport& report) {
-  return ", \"cache\": {\"hits\": " +
-         std::to_string(report.compile_cache_hits) +
-         ", \"misses\": " + std::to_string(report.compile_cache_misses) +
-         ", \"store_hits\": " +
-         std::to_string(report.compile_cache_store_hits) +
-         ", \"compiles\": " + std::to_string(report.compile_cache_compiles) +
-         "}, \"prepares\": {\"full\": " +
-         std::to_string(report.full_prepares) +
-         ", \"image_resets\": " + std::to_string(report.image_resets) + "}";
+void counters_members(json::Writer& w, const harness::SweepReport& report) {
+  w.key("cache")
+      .begin_object()
+      .member("hits", report.compile_cache_hits)
+      .member("misses", report.compile_cache_misses)
+      .member("store_hits", report.compile_cache_store_hits)
+      .member("compiles", report.compile_cache_compiles)
+      .end();
+  w.key("prepares")
+      .begin_object()
+      .member("full", report.full_prepares)
+      .member("image_resets", report.image_resets)
+      .end();
 }
 
 }  // namespace
@@ -324,7 +322,7 @@ Result<std::string> Server::handle(const Request& request,
                                    bool& drain_after_reply) {
   switch (request.type) {
     case RequestType::kPing:
-      return reply_head("pong") + "}";
+      return begin_reply("pong").end().take();
     case RequestType::kCompile:
       return handle_compile(request);
     case RequestType::kRun:
@@ -338,7 +336,7 @@ Result<std::string> Server::handle(const Request& request,
       return handle_stats();
     case RequestType::kShutdown:
       drain_after_reply = true;
-      return reply_head("shutdown") + ", \"draining\": true}";
+      return begin_reply("shutdown").member("draining", true).end().take();
   }
   return Error{ErrorCode::kUnknown, "unhandled request type"};
 }
@@ -347,19 +345,18 @@ Result<std::string> Server::handle_compile(const Request& request) {
   auto unit = warm_.cache().get_or_compile(request.spec);
   if (!unit.ok()) return std::move(unit).error();
   const flow::CompiledUnit& u = *unit.value();
-  std::string out = reply_head("compile");
-  out += ", \"kernel\": \"" + json::escape(u.spec().kernel) + "\"";
-  out += ", \"machine\": \"";
-  out += codegen::machine_name(u.machine());
-  out += "\", \"geometry\": \"" + u.geometry().label() + "\"";
-  out += ", \"code_words\": " + std::to_string(u.program().size_words());
-  out += ", \"init_instructions\": " +
-         std::to_string(u.program().init_instructions);
-  out += ", \"hw_loops\": " + std::to_string(u.program().hw_loop_count);
-  out += ", \"sw_loops\": " + std::to_string(u.program().sw_loop_count);
-  out += ", \"scan_candidates\": " + std::to_string(u.scan().candidates.size());
-  out += ", \"key\": \"" + json::escape(u.spec().key()) + "\"}";
-  return out;
+  return begin_reply("compile")
+      .member("kernel", u.spec().kernel)
+      .member("machine", codegen::machine_name(u.machine()))
+      .member("geometry", u.geometry().label())
+      .member("code_words", u.program().size_words())
+      .member("init_instructions", u.program().init_instructions)
+      .member("hw_loops", u.program().hw_loop_count)
+      .member("sw_loops", u.program().sw_loop_count)
+      .member("scan_candidates", u.scan().candidates.size())
+      .member("key", u.spec().key())
+      .end()
+      .take();
 }
 
 Result<std::string> Server::handle_run(const Request& request) {
@@ -368,27 +365,23 @@ Result<std::string> Server::handle_run(const Request& request) {
   auto result = flow::run(*unit.value(), request.plan);
   if (!result.ok()) return std::move(result).error();
   const harness::ExperimentResult& r = result.value();
-  std::string out = reply_head("run");
-  out += ", \"kernel\": \"" + json::escape(r.kernel) + "\"";
-  out += ", \"machine\": \"";
-  out += codegen::machine_name(r.machine);
-  out += "\", \"geometry\": \"" + r.geometry.label() + "\"";
-  out += ", \"config\": \"" +
-         json::escape(harness::config_name(request.plan.config)) + "\"";
-  out += ", \"mode\": \"";
-  out += harness::mode_name(r.mode);
-  out += "\", \"cycles\": " + std::to_string(r.stats.cycles);
-  out += ", \"instructions\": " + std::to_string(r.stats.instructions);
-  out += ", \"continue_events\": " +
-         std::to_string(r.zolc_stats.continue_events);
-  out += ", \"done_events\": " + std::to_string(r.zolc_stats.done_events);
-  out += ", \"table_writes\": " + std::to_string(r.zolc_stats.table_writes);
-  out += ", \"tenants\": " + std::to_string(r.tenants);
-  out += ", \"ctx_switches\": " + std::to_string(r.context_switches);
-  out += ", \"ctx_switch_cycles\": " +
-         std::to_string(r.context_switch_cycles);
-  out += ", \"full_prepares\": " + std::to_string(r.full_prepares) + "}";
-  return out;
+  return begin_reply("run")
+      .member("kernel", r.kernel)
+      .member("machine", codegen::machine_name(r.machine))
+      .member("geometry", r.geometry.label())
+      .member("config", harness::config_name(request.plan.config))
+      .member("mode", harness::mode_name(r.mode))
+      .member("cycles", r.stats.cycles)
+      .member("instructions", r.stats.instructions)
+      .member("continue_events", r.zolc_stats.continue_events)
+      .member("done_events", r.zolc_stats.done_events)
+      .member("table_writes", r.zolc_stats.table_writes)
+      .member("tenants", r.tenants)
+      .member("ctx_switches", r.context_switches)
+      .member("ctx_switch_cycles", r.context_switch_cycles)
+      .member("full_prepares", r.full_prepares)
+      .end()
+      .take();
 }
 
 Result<std::string> Server::handle_suite(const Request& request) {
@@ -407,59 +400,44 @@ Result<std::string> Server::handle_suite(const Request& request) {
   }
 
   const bool bench = request.type == RequestType::kBenchSuite;
-  std::string out = reply_head(bench ? "bench-suite" : "sweep");
-  out += ", \"suite\": \"" + json::escape(done.suite.name) + "\"";
-  out += counters_members(done.report);
-  out += std::string(", \"golden\": \"") +
-         (done.golden_checked ? "match" : "unchecked") + "\"";
-  out += ", \"cells\": " + std::to_string(done.report.cells.size());
-  out += ", \"wall_seconds\": " + format_fixed(done.wall_seconds, 4);
-  out += ", \"mips\": " + format_fixed(done.mips, 2);
+  json::Writer w = begin_reply(bench ? "bench-suite" : "sweep");
+  w.member("suite", done.suite.name);
+  counters_members(w, done.report);
+  w.member("golden", done.golden_checked ? "match" : "unchecked")
+      .member("cells", done.report.cells.size())
+      .key("wall_seconds")
+      .fixed(done.wall_seconds, 4)
+      .key("mips")
+      .fixed(done.mips, 2);
   if (bench) {
-    out += ", \"artifact_name\": \"" +
-           json::escape(scenario::bench_artifact_name(done.suite)) + "\"";
-    out += ", \"artifact\": \"" +
-           json::escape(scenario::bench_artifact_json(done)) + "\"";
+    w.member("artifact_name", scenario::bench_artifact_name(done.suite))
+        .member("artifact", scenario::bench_artifact_json(done));
+  } else if (request.json_format) {
+    w.member("format", "json").member("output", done.report.to_json());
   } else {
-    out += std::string(", \"format\": \"") +
-           (request.json_format ? "json" : "csv") + "\"";
-    out += ", \"output\": \"" +
-           json::escape(request.json_format ? done.report.to_json()
-                                            : done.csv) +
-           "\"";
+    w.member("format", "csv").member("output", done.csv);
   }
-  out += "}";
-  return out;
+  return w.end().take();
 }
 
-std::string Server::handle_store_stat() {
-  std::string out = reply_head("store-stat");
+Result<std::string> Server::handle_store_stat() {
   flow::UnitStore* store = warm_.store();
   if (store == nullptr) {
-    out += ", \"attached\": false}";
-    return out;
+    return begin_reply("store-stat").member("attached", false).end().take();
   }
-  out += ", \"attached\": true";
-  out += ", \"dir\": \"" + json::escape(options_.store_dir) + "\"";
-  std::size_t current = 0, stale = 0, corrupt = 0;
-  std::uintmax_t bytes = 0;
-  if (auto artifacts = store->scan_artifacts(); artifacts.ok()) {
-    for (const flow::UnitStore::ArtifactInfo& info : artifacts.value()) {
-      switch (info.state) {
-        case flow::UnitStore::ArtifactInfo::State::kCurrent: ++current; break;
-        case flow::UnitStore::ArtifactInfo::State::kStale: ++stale; break;
-        case flow::UnitStore::ArtifactInfo::State::kCorrupt: ++corrupt; break;
-      }
-      bytes += info.bytes;
-    }
-  }
-  out += ", \"current\": " + std::to_string(current);
-  out += ", \"stale\": " + std::to_string(stale);
-  out += ", \"corrupt\": " + std::to_string(corrupt);
-  out += ", \"bytes\": " + std::to_string(bytes);
-  out += ", \"toolchain_tag\": \"" +
-         json::escape(flow::UnitStore::toolchain_tag()) + "\"}";
-  return out;
+  auto inventory = store->inventory();
+  if (!inventory.ok()) return std::move(inventory).error();
+  const flow::UnitStore::Inventory& tally = inventory.value();
+  return begin_reply("store-stat")
+      .member("attached", true)
+      .member("dir", options_.store_dir)
+      .member("current", tally.current)
+      .member("stale", tally.stale)
+      .member("corrupt", tally.corrupt)
+      .member("bytes", tally.bytes)
+      .member("toolchain_tag", flow::UnitStore::toolchain_tag())
+      .end()
+      .take();
 }
 
 std::string Server::handle_stats() {
@@ -479,35 +457,39 @@ std::string Server::handle_stats() {
                    : static_cast<double>(cache.hits) /
                          static_cast<double>(lookups);
 
-  std::string out = reply_head("stats");
-  out += ", \"requests\": " + std::to_string(snapshot.requests);
-  out += ", \"connections\": " + std::to_string(snapshot.connections);
-  out += ", \"errors\": " + std::to_string(snapshot.errors);
-  out += ", \"by_type\": {";
-  bool first = true;
+  json::Writer w = begin_reply("stats");
+  w.member("requests", snapshot.requests)
+      .member("connections", snapshot.connections)
+      .member("errors", snapshot.errors)
+      .key("by_type")
+      .begin_object();
   for (std::size_t i = 0; i < kNumRequestTypes; ++i) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"";
-    out += request_type_name(static_cast<RequestType>(i));
-    out += "\": " + std::to_string(snapshot.by_type[i]);
+    w.key(request_type_name(static_cast<RequestType>(i)))
+        .value(snapshot.by_type[i]);
   }
-  out += "}";
-  out += ", \"cache\": {\"hits\": " + std::to_string(cache.hits) +
-         ", \"misses\": " + std::to_string(cache.misses) +
-         ", \"store_hits\": " + std::to_string(cache.store_hits) +
-         ", \"compiles\": " + std::to_string(cache.compiles) +
-         ", \"hit_rate\": " + format_fixed(hit_rate, 3) + "}";
-  out += ", \"prepares\": {\"full\": " +
-         std::to_string(snapshot.full_prepares) +
-         ", \"image_resets\": " + std::to_string(snapshot.image_resets) + "}";
-  out += ", \"wall_ms\": " + percentile_object(wall_ms, 3);
-  out += ", \"mips\": " + percentile_object(mips, 2);
-  out += ", \"workers\": " + std::to_string(options_.workers);
-  out += ", \"draining\": ";
-  out += draining() ? "true" : "false";
-  out += "}";
-  return out;
+  w.end()
+      .key("cache")
+      .begin_object()
+      .member("hits", cache.hits)
+      .member("misses", cache.misses)
+      .member("store_hits", cache.store_hits)
+      .member("compiles", cache.compiles)
+      .key("hit_rate")
+      .fixed(hit_rate, 3)
+      .end();
+  w.key("prepares")
+      .begin_object()
+      .member("full", snapshot.full_prepares)
+      .member("image_resets", snapshot.image_resets)
+      .end();
+  w.key("wall_ms");
+  percentile_object(w, wall_ms, 3);
+  w.key("mips");
+  percentile_object(w, mips, 2);
+  return w.member("workers", options_.workers)
+      .member("draining", draining())
+      .end()
+      .take();
 }
 
 void Server::record_request(RequestType type, double wall_ms, double mips) {

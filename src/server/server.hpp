@@ -110,7 +110,7 @@ class Server {
   [[nodiscard]] Result<std::string> handle_compile(const Request& request);
   [[nodiscard]] Result<std::string> handle_run(const Request& request);
   [[nodiscard]] Result<std::string> handle_suite(const Request& request);
-  [[nodiscard]] std::string handle_store_stat();
+  [[nodiscard]] Result<std::string> handle_store_stat();
   [[nodiscard]] std::string handle_stats();
 
   void record_request(RequestType type, double wall_ms, double mips);

@@ -17,138 +17,87 @@ namespace {
 // string, and from_json() re-emits the parsed payload to verify the digest,
 // so any accepted document round-trips byte-identically.
 
-void append_uint(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
-void append_int(std::string& out, std::int64_t v) { out += std::to_string(v); }
-
-void append_bool(std::string& out, bool v) { out += v ? "true" : "false"; }
-
 std::string payload_json(const ZolcContext& ctx) {
-  std::string out = "{\"variant\":\"";
-  out += variant_name(ctx.variant);
-  out += "\",\"geometry\":{\"max_tasks\":";
-  append_uint(out, ctx.geometry.max_tasks);
-  out += ",\"max_loops\":";
-  append_uint(out, ctx.geometry.max_loops);
-  out += ",\"max_exits_per_loop\":";
-  append_uint(out, ctx.geometry.max_exits_per_loop);
-  out += ",\"max_entries_per_loop\":";
-  append_uint(out, ctx.geometry.max_entries_per_loop);
-  out += ",\"pc_ofs_bits\":";
-  append_uint(out, ctx.geometry.pc_ofs_bits);
-  out += "},\"base\":";
-  append_uint(out, ctx.base);
-  out += ",\"current_task\":";
-  append_uint(out, ctx.current_task);
-  out += ",\"active\":";
-  append_bool(out, ctx.active);
-  out += ",\"micro\":{\"initial\":";
-  append_int(out, ctx.micro.initial);
-  out += ",\"final\":";
-  append_int(out, ctx.micro.final);
-  out += ",\"step\":";
-  append_int(out, ctx.micro.step);
-  out += ",\"current\":";
-  append_int(out, ctx.micro.current);
-  out += ",\"start_pc\":";
-  append_uint(out, ctx.micro.start_pc);
-  out += ",\"end_pc\":";
-  append_uint(out, ctx.micro.end_pc);
-  out += ",\"index_rf\":";
-  append_uint(out, ctx.micro.index_rf);
-  out += ",\"cond\":";
-  append_uint(out, static_cast<std::uint8_t>(ctx.micro.cond));
-  out += "},\"tasks\":[";
-  for (std::size_t i = 0; i < ctx.tasks.size(); ++i) {
-    const TaskEntry& t = ctx.tasks[i];
-    if (i != 0) out += ',';
-    out += "{\"end_pc_ofs\":";
-    append_uint(out, t.end_pc_ofs);
-    out += ",\"loop_id\":";
-    append_uint(out, t.loop_id);
-    out += ",\"next_task_cont\":";
-    append_uint(out, t.next_task_cont);
-    out += ",\"next_task_done\":";
-    append_uint(out, t.next_task_done);
-    out += ",\"is_last\":";
-    append_bool(out, t.is_last);
-    out += ",\"valid\":";
-    append_bool(out, t.valid);
-    out += '}';
+  json::Writer w(json::Writer::Style::kCompact);
+  w.begin_object().member("variant", variant_name(ctx.variant));
+  w.key("geometry")
+      .begin_object()
+      .member("max_tasks", ctx.geometry.max_tasks)
+      .member("max_loops", ctx.geometry.max_loops)
+      .member("max_exits_per_loop", ctx.geometry.max_exits_per_loop)
+      .member("max_entries_per_loop", ctx.geometry.max_entries_per_loop)
+      .member("pc_ofs_bits", ctx.geometry.pc_ofs_bits)
+      .end();
+  w.member("base", ctx.base)
+      .member("current_task", ctx.current_task)
+      .member("active", ctx.active);
+  w.key("micro")
+      .begin_object()
+      .member("initial", ctx.micro.initial)
+      .member("final", ctx.micro.final)
+      .member("step", ctx.micro.step)
+      .member("current", ctx.micro.current)
+      .member("start_pc", ctx.micro.start_pc)
+      .member("end_pc", ctx.micro.end_pc)
+      .member("index_rf", ctx.micro.index_rf)
+      .member("cond", static_cast<std::uint8_t>(ctx.micro.cond))
+      .end();
+  w.key("tasks").begin_array();
+  for (const TaskEntry& t : ctx.tasks) {
+    w.begin_object()
+        .member("end_pc_ofs", t.end_pc_ofs)
+        .member("loop_id", t.loop_id)
+        .member("next_task_cont", t.next_task_cont)
+        .member("next_task_done", t.next_task_done)
+        .member("is_last", t.is_last)
+        .member("valid", t.valid)
+        .end();
   }
-  out += "],\"task_start\":[";
-  for (std::size_t i = 0; i < ctx.task_start.size(); ++i) {
-    if (i != 0) out += ',';
-    append_uint(out, ctx.task_start[i]);
+  w.end().key("task_start").begin_array();
+  for (const std::uint16_t start : ctx.task_start) w.value(start);
+  w.end().key("loops").begin_array();
+  for (const LoopEntry& l : ctx.loops) {
+    w.begin_object()
+        .member("initial", l.initial)
+        .member("final", l.final)
+        .member("step", l.step)
+        .member("index_rf", l.index_rf)
+        .member("cond", static_cast<std::uint8_t>(l.cond))
+        .member("valid", l.valid)
+        .member("current", l.current)
+        .end();
   }
-  out += "],\"loops\":[";
-  for (std::size_t i = 0; i < ctx.loops.size(); ++i) {
-    const LoopEntry& l = ctx.loops[i];
-    if (i != 0) out += ',';
-    out += "{\"initial\":";
-    append_int(out, l.initial);
-    out += ",\"final\":";
-    append_int(out, l.final);
-    out += ",\"step\":";
-    append_int(out, l.step);
-    out += ",\"index_rf\":";
-    append_uint(out, l.index_rf);
-    out += ",\"cond\":";
-    append_uint(out, static_cast<std::uint8_t>(l.cond));
-    out += ",\"valid\":";
-    append_bool(out, l.valid);
-    out += ",\"current\":";
-    append_int(out, l.current);
-    out += '}';
+  w.end().key("exits").begin_array();
+  for (const ExitRecord& r : ctx.exits) {
+    w.begin_object()
+        .member("branch_pc_ofs", r.branch_pc_ofs)
+        .member("next_task", r.next_task)
+        .member("reinit_mask", r.reinit_mask)
+        .member("valid", r.valid)
+        .member("deactivate", r.deactivate)
+        .end();
   }
-  out += "],\"exits\":[";
-  for (std::size_t i = 0; i < ctx.exits.size(); ++i) {
-    const ExitRecord& r = ctx.exits[i];
-    if (i != 0) out += ',';
-    out += "{\"branch_pc_ofs\":";
-    append_uint(out, r.branch_pc_ofs);
-    out += ",\"next_task\":";
-    append_uint(out, r.next_task);
-    out += ",\"reinit_mask\":";
-    append_uint(out, r.reinit_mask);
-    out += ",\"valid\":";
-    append_bool(out, r.valid);
-    out += ",\"deactivate\":";
-    append_bool(out, r.deactivate);
-    out += '}';
+  w.end().key("entries").begin_array();
+  for (const EntryRecord& r : ctx.entries) {
+    w.begin_object()
+        .member("entry_pc_ofs", r.entry_pc_ofs)
+        .member("next_task", r.next_task)
+        .member("reinit_mask", r.reinit_mask)
+        .member("valid", r.valid)
+        .end();
   }
-  out += "],\"entries\":[";
-  for (std::size_t i = 0; i < ctx.entries.size(); ++i) {
-    const EntryRecord& r = ctx.entries[i];
-    if (i != 0) out += ',';
-    out += "{\"entry_pc_ofs\":";
-    append_uint(out, r.entry_pc_ofs);
-    out += ",\"next_task\":";
-    append_uint(out, r.next_task);
-    out += ",\"reinit_mask\":";
-    append_uint(out, r.reinit_mask);
-    out += ",\"valid\":";
-    append_bool(out, r.valid);
-    out += '}';
-  }
-  out += "],\"stats\":{\"continue_events\":";
-  append_uint(out, ctx.stats.continue_events);
-  out += ",\"done_events\":";
-  append_uint(out, ctx.stats.done_events);
-  out += ",\"cascade_chains\":";
-  append_uint(out, ctx.stats.cascade_chains);
-  out += ",\"max_cascade_depth\":";
-  append_uint(out, ctx.stats.max_cascade_depth);
-  out += ",\"exit_matches\":";
-  append_uint(out, ctx.stats.exit_matches);
-  out += ",\"entry_matches\":";
-  append_uint(out, ctx.stats.entry_matches);
-  out += ",\"table_writes\":";
-  append_uint(out, ctx.stats.table_writes);
-  out += "}}";
-  return out;
+  w.end()
+      .key("stats")
+      .begin_object()
+      .member("continue_events", ctx.stats.continue_events)
+      .member("done_events", ctx.stats.done_events)
+      .member("cascade_chains", ctx.stats.cascade_chains)
+      .member("max_cascade_depth", ctx.stats.max_cascade_depth)
+      .member("exit_matches", ctx.stats.exit_matches)
+      .member("entry_matches", ctx.stats.entry_matches)
+      .member("table_writes", ctx.stats.table_writes)
+      .end();
+  return w.end().take();
 }
 
 // ---- parse helpers ----
@@ -202,14 +151,14 @@ std::uint64_t ZolcContext::key() const { return fnv1a64(payload_json(*this)); }
 
 std::string ZolcContext::to_json() const {
   const std::string payload = payload_json(*this);
-  std::string out = "{\n  \"format\": \"";
-  out += kFormat;
-  out += "\",\n  \"payload_fnv1a64\": \"";
-  out += hex64(fnv1a64(payload));
-  out += "\",\n  \"payload\": ";
-  out += payload;
-  out += "\n}\n";
-  return out;
+  return json::Writer()
+      .begin_object(json::Writer::Layout::kLines)
+      .member("format", kFormat)
+      .member("payload_fnv1a64", hex64(fnv1a64(payload)))
+      .key("payload")
+      .raw(payload)
+      .end()
+      .take();
 }
 
 Result<ZolcContext> ZolcContext::from_json(std::string_view text) {

@@ -74,7 +74,7 @@ TEST(CliParse, ConfigNamesRoundTrip) {
 
 TEST(CliParse, ArgsSplitFlagsAndPositionals) {
   const char* argv[] = {"zolcsim", "run",          "fir",
-                        "--machine=ZOLClite",      "--no-predecode",
+                        "--machine=ZOLClite",      "--preempt-serialize",
                         "--max-cycles=1000",       "--kernels="};
   const Args args = Args::parse(7, const_cast<char**>(argv), 2);
   ASSERT_EQ(args.positional.size(), 1u);
@@ -86,13 +86,14 @@ TEST(CliParse, ArgsSplitFlagsAndPositionals) {
   EXPECT_FALSE(args.value_of("absent").has_value());
   ASSERT_TRUE(args.value_of("kernels").has_value());
   EXPECT_TRUE(args.value_of("kernels")->empty());
-  EXPECT_TRUE(args.has("no-predecode"));
+  EXPECT_TRUE(args.has("preempt-serialize"));
   EXPECT_FALSE(args.has("machine"));  // value flag, not a switch
   EXPECT_TRUE(args.unknown({"machine", "max-cycles", "kernels"},
-                           {"no-predecode"})
+                           {"preempt-serialize"})
                   .empty());
-  EXPECT_EQ(args.unknown({"machine", "kernels"}, {"no-predecode"}).size(),
-            1u);
+  EXPECT_EQ(
+      args.unknown({"machine", "kernels"}, {"preempt-serialize"}).size(),
+      1u);
 }
 
 TEST(CliParse, SplitListAndErrorRendering) {
@@ -126,7 +127,6 @@ void expect_same_config(const cpu::PipelineConfig& a,
 void expect_same_plan(const flow::RunPlan& a, const flow::RunPlan& b) {
   expect_same_config(a.config, b.config);
   EXPECT_EQ(a.max_cycles, b.max_cycles);
-  EXPECT_EQ(a.predecode, b.predecode);
   EXPECT_EQ(a.mode, b.mode);
   EXPECT_EQ(a.timing_reps, b.timing_reps);
   EXPECT_EQ(a.warm_start, b.warm_start);
@@ -151,7 +151,6 @@ void expect_same_sweep(const harness::SweepSpec& a,
   EXPECT_EQ(a.baseline, b.baseline);
   EXPECT_EQ(a.max_cycles, b.max_cycles);
   EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.predecode, b.predecode);
   EXPECT_EQ(a.timing_reps, b.timing_reps);
   EXPECT_EQ(a.warm_start, b.warm_start);
   EXPECT_EQ(a.preempt_every, b.preempt_every);
@@ -210,8 +209,7 @@ TEST(CliRequest, RunFlagsParseLikeTheDaemon) {
       {{"--mode=iss"}, true},
       {{"--machine=ZOLClite", "--geometry=64t-16l-4x-4e-p14",
         "--config=ID-resolve/gate", "--mode=iss-fast", "--max-cycles=5000",
-        "--tenants=3", "--preempt-every=97", "--preempt-serialize",
-        "--no-predecode"},
+        "--tenants=3", "--preempt-every=97", "--preempt-serialize"},
        true},
       {{"--machine=PDP11"}, false, ErrorCode::kBadConfig},
       {{"--geometry=32 tasks"}, false, ErrorCode::kBadConfig},
@@ -244,16 +242,28 @@ TEST(CliRequest, CompileFlagsParseLikeTheDaemon) {
 }
 
 TEST(CliRequest, LoweredFlagsAreTheWireMembers) {
-  const Args args = make_args({"zolcsim", "client", "run", "fir",
-                               "--no-predecode", "--max-cycles=100",
-                               "--machine=ZOLClite", "--preempt-serialize"});
+  const Args args =
+      make_args({"zolcsim", "client", "run", "fir", "--max-cycles=100",
+                 "--machine=ZOLClite", "--preempt-serialize"});
   const auto members = unit_members("fir", args, kRunFlags);
   ASSERT_TRUE(members.ok());
   // Table order, not argv order: the payload is deterministic.
   EXPECT_EQ(server::make_request(server::RequestType::kRun, members.value()),
             R"({"schema":"zolcsim-serve-v1","type":"run","kernel":"fir",)"
             R"("machine":"ZOLClite","max_cycles":100,)"
-            R"("preempt_serialize":true,"predecode":false})");
+            R"("preempt_serialize":true})");
+}
+
+TEST(CliRequest, PredecodeIsNotARunOption) {
+  // Every run attaches the unit's predecoded image: no flag, no member.
+  for (const MemberFlag& flag : kRunFlags) {
+    EXPECT_EQ(flag.name.find("predecode"), std::string_view::npos);
+  }
+  const auto remote = server::parse_request(
+      R"({"schema":"zolcsim-serve-v1","type":"run","kernel":"fir",)"
+      R"("predecode":false})");
+  ASSERT_FALSE(remote.ok());
+  EXPECT_EQ(remote.error().code, ErrorCode::kParse);
 }
 
 TEST(CliRequest, GridFlagsParseLikeTheSuiteParser) {

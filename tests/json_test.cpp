@@ -1,5 +1,6 @@
 // Tests for the minimal JSON reader (common/json): value grammar, typed
-// accessors, parse failures with line numbers, and escaping.
+// accessors and parse failures with line numbers. The Writer (escaping,
+// number text, layouts) is pinned in json_emit_test.
 #include "common/json.hpp"
 
 #include <cstdint>
@@ -92,12 +93,6 @@ TEST(JsonValue, AsUintRejectsNonRepresentable) {
   EXPECT_EQ(parse("1e300").value().as_uint(), std::nullopt);
   EXPECT_EQ(parse("9007199254740992").value().as_uint(),
             std::uint64_t{9007199254740992});  // 2^53: last exact double
-}
-
-TEST(JsonEscape, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(escape("plain"), "plain");
-  EXPECT_EQ(escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
 }
 
 }  // namespace

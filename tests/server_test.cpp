@@ -3,8 +3,8 @@
 // between the server's sweep rendering and the local run_suite path for
 // every checked-in scenario suite, two concurrent clients compiling each
 // unit exactly once (the cache's singleflight guarantee), the stats
-// endpoint, idle timeouts, warm restarts off an on-disk store, and
-// graceful drain.
+// endpoint, idle timeouts, warm restarts off an on-disk store, typed
+// store-stat failures, and graceful drain.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -213,6 +213,32 @@ TEST_F(ServerTest, WarmRestartServesEntirelyFromTheStore) {
   EXPECT_EQ(nested_uint(reply, "cache", "compiles"), 0u);
   EXPECT_GT(nested_uint(reply, "cache", "store_hits"), 0u);
   EXPECT_EQ(nested_uint(reply, "prepares", "full"), 0u);
+}
+
+TEST_F(ServerTest, StoreStatScanFailureIsATypedError) {
+  const fs::path store_dir =
+      fs::path(testing::TempDir()) / "zolcsim_serve_store_stat";
+  fs::remove_all(store_dir);
+  fs::create_directories(store_dir);
+  ServeOptions options;
+  options.store_dir = store_dir.string();
+  start(std::move(options));
+  Client client = connect_ok();
+  auto healthy = client.call(simple_request(RequestType::kStoreStat));
+  ASSERT_TRUE(healthy.ok()) << healthy.error().to_string();
+  const auto current = reply_uint(healthy.value(), "current");
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(current.value(), 0u);
+
+  // The directory becomes a regular file under the running daemon: the
+  // scan fails, and the reply says so instead of reporting an empty store.
+  fs::remove_all(store_dir);
+  std::ofstream(store_dir) << "not a directory";
+  auto broken = client.call(simple_request(RequestType::kStoreStat));
+  ASSERT_FALSE(broken.ok());
+  EXPECT_EQ(broken.error().code, ErrorCode::kIo);
+  EXPECT_TRUE(client.call(simple_request(RequestType::kPing)).ok());
+  fs::remove(store_dir);
 }
 
 TEST_F(ServerTest, StatsEndpointCountsRequestsAndLatency) {

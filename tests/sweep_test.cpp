@@ -1,6 +1,6 @@
 // Sweep-engine behaviour: thread-count invariance, parity with the serial
-// experiment runner, dimension resolution, aggregates, emitters, and the
-// predecoded-fetch equivalence the engine's fast path relies on.
+// experiment runner, dimension resolution, aggregates and emitters. (The
+// predecoded-image vs memory-fetch equivalence lives in trace_cosim_test.)
 #include <gtest/gtest.h>
 
 #include "flow/cache.hpp"
@@ -187,25 +187,6 @@ TEST(Sweep, FindLooksUpByName) {
   EXPECT_EQ(report.value().find("nope", MachineKind::kZolcLite), nullptr);
 }
 
-TEST(Sweep, PredecodeDoesNotChangeArchitecturalResults) {
-  const kernels::Kernel* kernel = kernels::find_kernel("matmul");
-  ASSERT_NE(kernel, nullptr);
-  for (const MachineKind machine :
-       {MachineKind::kXrDefault, MachineKind::kZolcFull}) {
-    const auto fast = run_experiment(*kernel, machine, {}, {}, 200'000'000,
-                                     /*predecode=*/true);
-    const auto slow = run_experiment(*kernel, machine, {}, {}, 200'000'000,
-                                     /*predecode=*/false);
-    ASSERT_TRUE(fast.ok() && slow.ok());
-    EXPECT_EQ(fast.value().stats.cycles, slow.value().stats.cycles);
-    EXPECT_EQ(fast.value().stats.instructions, slow.value().stats.instructions);
-    EXPECT_EQ(fast.value().stats.zolc_fetch_events,
-              slow.value().stats.zolc_fetch_events);
-    EXPECT_EQ(fast.value().zolc_stats.done_events,
-              slow.value().zolc_stats.done_events);
-  }
-}
-
 TEST(Sweep, MachinesForVariantsMapsAllVariants) {
   const auto machines = machines_for_variants({zolc::ZolcVariant::kMicro,
                                                zolc::ZolcVariant::kLite,
@@ -214,15 +195,6 @@ TEST(Sweep, MachinesForVariantsMapsAllVariants) {
   EXPECT_EQ(machines[0], MachineKind::kUZolc);
   EXPECT_EQ(machines[1], MachineKind::kZolcLite);
   EXPECT_EQ(machines[2], MachineKind::kZolcFull);
-}
-
-TEST(Sweep, ThreadsFromArgs) {
-  const char* argv1[] = {"bench", "--threads=3"};
-  EXPECT_EQ(threads_from_args(2, const_cast<char**>(argv1)), 3u);
-  const char* argv2[] = {"bench"};
-  EXPECT_EQ(threads_from_args(1, const_cast<char**>(argv2)), 0u);
-  const char* argv3[] = {"bench", "--threads=bogus"};
-  EXPECT_EQ(threads_from_args(2, const_cast<char**>(argv3)), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // speculation policy x forwarding), each both with the predecoded image
 // attached (as flow::run does) and fetching from memory; the final register
 // file and memory image must match the ISS, and the two fetch paths must
-// produce identical pipeline statistics.
+// produce identical pipeline statistics. The ISS reference itself runs on
+// both fetch paths too, which must agree on the retire stream, registers,
+// memory and IssStats.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -38,6 +40,7 @@ struct SimRun {
   std::vector<Retired> trace;
   RegFile regs;
   PipelineStats stats;
+  IssStats iss_stats;
 };
 
 std::unique_ptr<zolc::ZolcController> make_controller(
@@ -50,7 +53,7 @@ std::unique_ptr<zolc::ZolcController> make_controller(
 
 SimRun pipeline_run(const flow::CompiledUnit& unit, PipelineConfig config,
                     bool predecoded) {
-  SimRun out{flow::Workload::prepare(unit), {}, {}, {}};
+  SimRun out{flow::Workload::prepare(unit), {}, {}, {}, {}};
   const auto controller = make_controller(unit);
   Pipeline pipe(out.workload.memory(), config);
   pipe.set_accelerator(controller.get());
@@ -65,17 +68,19 @@ SimRun pipeline_run(const flow::CompiledUnit& unit, PipelineConfig config,
   return out;
 }
 
-SimRun iss_run(const flow::CompiledUnit& unit) {
-  SimRun out{flow::Workload::prepare(unit), {}, {}, {}};
+SimRun iss_run(const flow::CompiledUnit& unit, bool predecoded) {
+  SimRun out{flow::Workload::prepare(unit), {}, {}, {}, {}};
   const auto controller = make_controller(unit);
   Iss iss(out.workload.memory());
   iss.set_accelerator(controller.get());
+  if (predecoded) iss.set_code_image(unit.image());
   iss.set_pc(unit.program().base);
   iss.set_retire_hook([&out](std::uint32_t pc, const isa::Instruction& i) {
     out.trace.push_back(Retired{pc, i.op});
   });
   iss.run(50'000'000);
   out.regs = iss.regs();
+  out.iss_stats = iss.stats();
   return out;
 }
 
@@ -139,9 +144,21 @@ TEST_P(TraceCoSim, PipelineRetiresExactlyTheIssStream) {
   const auto unit = flow::CompiledUnit::compile(spec);
   ASSERT_TRUE(unit.ok()) << unit.error().to_string();
 
-  const SimRun reference = iss_run(unit.value());
+  const SimRun reference = iss_run(unit.value(), true);
   ASSERT_FALSE(reference.trace.empty());
   ASSERT_TRUE(reference.workload.verify().ok());
+
+  // The ISS fetch path (predecoded image vs memory decode) is invisible.
+  {
+    SCOPED_TRACE("ISS memory-fetch");
+    const SimRun fetched = iss_run(unit.value(), false);
+    expect_traces_equal(fetched.trace, reference.trace);
+    EXPECT_TRUE(fetched.regs == reference.regs) << "register file diverged";
+    EXPECT_TRUE(fetched.workload.memory() == reference.workload.memory())
+        << "memory image diverged";
+    EXPECT_TRUE(fetched.iss_stats == reference.iss_stats)
+        << "ISS statistics depend on the fetch path";
+  }
 
   // The stream is microarchitecture-independent and fetch-path-independent.
   for (const PipelineConfig& config : all_configs()) {

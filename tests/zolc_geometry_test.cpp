@@ -141,7 +141,7 @@ TEST(GeometryLowering, DeepNestFullyHardwareManagedUnderExtendedGeometry) {
   ASSERT_NE(kernel, nullptr);
   const auto result =
       run_experiment(*kernel, MachineKind::kZolcLite, {}, {}, 200'000'000,
-                     true, ZolcGeometry{32, 12, 0, 0});
+                     ZolcGeometry{32, 12, 0, 0});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().hw_loops, 10u);
   EXPECT_EQ(result.value().sw_loops, 0u);
@@ -159,8 +159,7 @@ TEST(GeometryLowering, TinyGeometryDemotesGracefully) {
   const auto* kernel = kernels::find_kernel("tiled_mm");
   ASSERT_NE(kernel, nullptr);
   const auto result = run_experiment(*kernel, MachineKind::kZolcLite, {}, {},
-                                     200'000'000, true,
-                                     ZolcGeometry{8, 2, 0, 0});
+                                     200'000'000, ZolcGeometry{8, 2, 0, 0});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().hw_loops, 2u);
   EXPECT_EQ(result.value().sw_loops, 4u);
@@ -185,7 +184,7 @@ TEST(GeometryLowering, WideRecordGeometryRunsZolcFullEndToEnd) {
   const ZolcGeometry wide{32, 16, 4, 4};
   ASSERT_EQ(wide.record_words(), 2u);
   const auto result = run_experiment(*kernel, MachineKind::kZolcFull, {}, {},
-                                     200'000'000, true, wide);
+                                     200'000'000, wide);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   const auto paper = run_experiment(*kernel, MachineKind::kZolcFull);
   ASSERT_TRUE(paper.ok()) << paper.error().to_string();
@@ -223,7 +222,7 @@ TEST(GeometryLowering, InvalidGeometryIsRejected) {
                      ZolcGeometry{32, 64, 4, 4});
   EXPECT_FALSE(lowered.ok());
   const auto experiment = run_experiment(*kernel, MachineKind::kZolcLite, {},
-                                         {}, 200'000'000, true,
+                                         {}, 200'000'000,
                                          ZolcGeometry{32, 64, 4, 4});
   EXPECT_FALSE(experiment.ok());
 }

@@ -73,7 +73,6 @@ inline constexpr MemberFlag kRunFlags[] = {
     {"tenants", FlagKind::kInt},
     {"preempt-every", FlagKind::kInt},
     {"preempt-serialize", FlagKind::kSwitch},
-    {"no-predecode", FlagKind::kSwitch},
 };
 
 /// `sweep`: the grid flags, lowered into a suite "sweep" object.

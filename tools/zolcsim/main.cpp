@@ -64,7 +64,6 @@ commands:
       --mode=NAME           pipeline (cycle-accurate, default), iss, or
                             iss-fast (ISS with the loop-summary fast path)
       --max-cycles=N        cycle budget          (default 200000000)
-      --no-predecode        fetch/decode from memory every cycle
       --preempt-every=N     ISS only: save/clobber/restore the full ZOLC
                             context every N instructions (differential knob)
       --preempt-serialize   round-trip each saved context through JSON
@@ -752,29 +751,14 @@ int cmd_store(const cli::Args& args) {
     return 0;
   }
 
-  auto artifacts = store.scan_artifacts();
-  if (!artifacts.ok()) return toolchain_error(artifacts.error());
-  std::size_t current = 0, stale = 0, corrupt = 0;
-  std::uintmax_t bytes = 0;
-  for (const flow::UnitStore::ArtifactInfo& info : artifacts.value()) {
-    switch (info.state) {
-      case flow::UnitStore::ArtifactInfo::State::kCurrent:
-        ++current;
-        break;
-      case flow::UnitStore::ArtifactInfo::State::kStale:
-        ++stale;
-        break;
-      case flow::UnitStore::ArtifactInfo::State::kCorrupt:
-        ++corrupt;
-        break;
-    }
-    bytes += info.bytes;
-  }
+  auto inventory = store.inventory();
+  if (!inventory.ok()) return toolchain_error(inventory.error());
+  const flow::UnitStore::Inventory& tally = inventory.value();
   std::printf("store %s: %zu artifact(s), %llu bytes\n", dir->c_str(),
-              artifacts.value().size(),
-              static_cast<unsigned long long>(bytes));
-  std::printf("  current %zu, stale %zu, corrupt %zu\n", current, stale,
-              corrupt);
+              tally.current + tally.stale + tally.corrupt,
+              static_cast<unsigned long long>(tally.bytes));
+  std::printf("  current %zu, stale %zu, corrupt %zu\n", tally.current,
+              tally.stale, tally.corrupt);
   std::printf("  toolchain tag: %s\n",
               flow::UnitStore::toolchain_tag().c_str());
   return 0;
