@@ -37,17 +37,9 @@ std::uint8_t access_width(Opcode op) noexcept {
   }
 }
 
-// Two's-complement add via unsigned math (defined overflow), mirroring
-// alu_eval's wrap_add for the specialized micro-op kinds.
-std::int32_t wrap_add(std::int32_t a, std::int32_t b) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
-                                   static_cast<std::uint32_t>(b));
-}
-
-std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) *
-                                   static_cast<std::uint32_t>(b));
-}
+// The specialized micro-op kinds use alu_eval's own wrap-around helpers.
+using detail::wrap_add;
+using detail::wrap_mul;
 
 // Back-edges a loop at `cur` will still take before its done event: the
 // largest n >= 0 with nest_cond_holds(cur + k*step, fin) for every k in

@@ -11,6 +11,7 @@
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
+#include "common/toolchain.hpp"
 #include "isa/encoding.hpp"
 
 namespace zolcsim::flow {
@@ -25,20 +26,6 @@ namespace fs = std::filesystem;
 
 [[nodiscard]] Error corrupt(std::string what) {
   return Error{ErrorCode::kStoreCorrupt, std::move(what)};
-}
-
-[[nodiscard]] std::string compiler_id() {
-#if defined(__clang__)
-  return "clang " + std::to_string(__clang_major__) + "." +
-         std::to_string(__clang_minor__) + "." +
-         std::to_string(__clang_patchlevel__);
-#elif defined(__GNUC__)
-  return "gcc " + std::to_string(__GNUC__) + "." +
-         std::to_string(__GNUC_MINOR__) + "." +
-         std::to_string(__GNUC_PATCHLEVEL__);
-#else
-  return "unknown";
-#endif
 }
 
 [[nodiscard]] std::optional<codegen::MachineKind> parse_machine_kind(
@@ -230,6 +217,62 @@ std::string UnitStore::path_for(const CompileSpec& spec) const {
   return dir_ + "/unit-" + hex64(key_of(spec)) + ".json";
 }
 
+Result<CompiledUnit> UnitStore::validate_artifact(
+    const json::Value& root,
+    const std::function<std::optional<std::string>(const CompileSpec&)>&
+        key_mismatch) {
+  const json::Value* format = root.find("format");
+  const json::Value* tag = root.find("tag");
+  const json::Value* spec_v = root.find("spec");
+  const json::Value* digest = root.find("payload_fnv1a64");
+  const json::Value* unit_v = root.find("unit");
+  if (format == nullptr || !format->is_string() || tag == nullptr ||
+      !tag->is_string() || spec_v == nullptr || digest == nullptr ||
+      !digest->is_string() || unit_v == nullptr) {
+    return corrupt("envelope members missing or mistyped");
+  }
+  if (format->as_string() != kFormat) {
+    return corrupt("unknown format '" + format->as_string() + "'");
+  }
+  if (tag->as_string() != toolchain_tag()) {
+    return Error{ErrorCode::kStoreStale,
+                 "artifact tag '" + tag->as_string() +
+                     "' does not match this build's '" +
+                     toolchain_tag() + "'"};
+  }
+  const auto spec = parse_spec(*spec_v);
+  if (!spec) return corrupt("malformed spec");
+  if (auto mismatch = key_mismatch(*spec)) {
+    return corrupt(std::move(*mismatch));
+  }
+  const auto stored_digest = parse_hex64(digest->as_string());
+  if (!stored_digest) return corrupt("malformed payload digest");
+
+  const kernels::Kernel* kernel = kernels::find_kernel(spec->kernel);
+  if (kernel == nullptr) {
+    return Error{ErrorCode::kUnknownKernel,
+                 "kernel '" + spec->kernel +
+                     "' is not registered in this build"};
+  }
+
+  // Reconstruct, then prove fidelity end-to-end: re-emitting through the
+  // canonical codec must reproduce the exact bytes that were hashed at
+  // save time. decode/encode of hostile words can trip contract checks;
+  // that is corruption too, not a crash.
+  try {
+    auto parts = parse_unit_payload(*unit_v, spec->machine);
+    if (!parts) return corrupt("malformed unit payload");
+    CompiledUnit unit(*kernel, *spec, std::move(parts->program),
+                      std::move(parts->scan));
+    if (fnv1a64(unit.to_json()) != *stored_digest) {
+      return corrupt("payload digest mismatch");
+    }
+    return unit;
+  } catch (const std::exception& e) {
+    return corrupt(std::string("payload rejected: ") + e.what());
+  }
+}
+
 Result<std::shared_ptr<const CompiledUnit>> UnitStore::load(
     const CompileSpec& spec) {
   const fs::path path = path_for(spec);
@@ -259,63 +302,20 @@ Result<std::shared_ptr<const CompiledUnit>> UnitStore::load(
     return reject(corrupt("not valid JSON: " +
                           std::move(parsed).error().message));
   }
-  const json::Value& root = parsed.value();
-  const json::Value* format = root.find("format");
-  const json::Value* tag = root.find("tag");
-  const json::Value* spec_v = root.find("spec");
-  const json::Value* digest = root.find("payload_fnv1a64");
-  const json::Value* unit_v = root.find("unit");
-  if (format == nullptr || !format->is_string() || tag == nullptr ||
-      !tag->is_string() || spec_v == nullptr || digest == nullptr ||
-      !digest->is_string() || unit_v == nullptr) {
-    return reject(corrupt("envelope members missing or mistyped"));
+  auto unit = validate_artifact(
+      parsed.value(),
+      [&spec](const CompileSpec& stored) -> std::optional<std::string> {
+        if (stored.key() == spec.key()) return std::nullopt;
+        return "spec key mismatch (hash collision or tampering): "
+               "artifact holds '" +
+               stored.key() + "'";
+      });
+  if (!unit.ok()) return reject(std::move(unit).error());
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.hits;
   }
-  if (format->as_string() != kFormat) {
-    return reject(corrupt("unknown format '" + format->as_string() + "'"));
-  }
-  if (tag->as_string() != toolchain_tag()) {
-    return reject(Error{ErrorCode::kStoreStale,
-                        "artifact tag '" + tag->as_string() +
-                            "' does not match this build's '" +
-                            toolchain_tag() + "'"});
-  }
-  const auto stored_spec = parse_spec(*spec_v);
-  if (!stored_spec) return reject(corrupt("malformed spec"));
-  if (stored_spec->key() != spec.key()) {
-    return reject(corrupt("spec key mismatch (hash collision or tampering): "
-                          "artifact holds '" +
-                          stored_spec->key() + "'"));
-  }
-  const auto stored_digest = parse_hex64(digest->as_string());
-  if (!stored_digest) return reject(corrupt("malformed payload digest"));
-
-  const kernels::Kernel* kernel = kernels::find_kernel(stored_spec->kernel);
-  if (kernel == nullptr) {
-    return reject(Error{ErrorCode::kUnknownKernel,
-                        "kernel '" + stored_spec->kernel +
-                            "' is not registered in this build"});
-  }
-
-  // Reconstruct, then prove fidelity end-to-end: re-emitting through the
-  // canonical codec must reproduce the exact bytes that were hashed at
-  // save time. decode/encode of hostile words can trip contract checks;
-  // that is corruption too, not a crash.
-  try {
-    auto parts = parse_unit_payload(*unit_v, stored_spec->machine);
-    if (!parts) return reject(corrupt("malformed unit payload"));
-    CompiledUnit unit(*kernel, *stored_spec, std::move(parts->program),
-                      std::move(parts->scan));
-    if (fnv1a64(unit.to_json()) != *stored_digest) {
-      return reject(corrupt("payload digest mismatch"));
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hits;
-    }
-    return std::make_shared<const CompiledUnit>(std::move(unit));
-  } catch (const std::exception& e) {
-    return reject(corrupt(std::string("payload rejected: ") + e.what()));
-  }
+  return std::make_shared<const CompiledUnit>(std::move(unit).value());
 }
 
 Result<void> UnitStore::save(const CompiledUnit& unit) {
@@ -388,38 +388,22 @@ UnitStore::Stats UnitStore::stats() const {
 UnitStore::ArtifactInfo::State UnitStore::classify_artifact(
     const json::Value& root, const std::string& filename) {
   using State = ArtifactInfo::State;
-  const json::Value* format = root.find("format");
-  const json::Value* tag = root.find("tag");
-  const json::Value* spec_v = root.find("spec");
-  const json::Value* digest = root.find("payload_fnv1a64");
-  const json::Value* unit_v = root.find("unit");
-  if (format == nullptr || !format->is_string() || tag == nullptr ||
-      !tag->is_string() || spec_v == nullptr || digest == nullptr ||
-      !digest->is_string() || unit_v == nullptr) {
-    return State::kCorrupt;
+  const auto unit = validate_artifact(
+      root,
+      [&filename](const CompileSpec& stored) -> std::optional<std::string> {
+        if (filename == "unit-" + hex64(key_of(stored)) + ".json") {
+          return std::nullopt;
+        }
+        return "artifact filed under a key it does not own";
+      });
+  if (unit.ok()) return State::kCurrent;
+  switch (unit.error().code) {
+    case ErrorCode::kStoreStale:
+    case ErrorCode::kUnknownKernel:  // unusable by this build, not damaged
+      return State::kStale;
+    default:
+      return State::kCorrupt;
   }
-  if (format->as_string() != kFormat) return State::kCorrupt;
-  if (tag->as_string() != toolchain_tag()) return State::kStale;
-  const auto spec = parse_spec(*spec_v);
-  if (!spec) return State::kCorrupt;
-  if (filename != "unit-" + hex64(key_of(*spec)) + ".json") {
-    return State::kCorrupt;  // artifact filed under a key it does not own
-  }
-  const auto stored_digest = parse_hex64(digest->as_string());
-  if (!stored_digest) return State::kCorrupt;
-  const kernels::Kernel* kernel = kernels::find_kernel(spec->kernel);
-  // An unregistered kernel is unusable by this build but not damaged.
-  if (kernel == nullptr) return State::kStale;
-  try {
-    auto parts = parse_unit_payload(*unit_v, spec->machine);
-    if (!parts) return State::kCorrupt;
-    const CompiledUnit unit(*kernel, *spec, std::move(parts->program),
-                            std::move(parts->scan));
-    if (fnv1a64(unit.to_json()) != *stored_digest) return State::kCorrupt;
-  } catch (const std::exception&) {
-    return State::kCorrupt;
-  }
-  return State::kCurrent;
 }
 
 Result<std::vector<UnitStore::ArtifactInfo>> UnitStore::scan_artifacts()

@@ -22,8 +22,10 @@
 #define ZOLCSIM_FLOW_UNIT_STORE_HPP
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,6 +115,18 @@ class UnitStore {
 
  private:
   [[nodiscard]] std::string path_for(const CompileSpec& spec) const;
+  /// Every check load() and scan_artifacts() apply to a parsed artifact,
+  /// in one order: envelope members, format, toolchain tag, spec, the
+  /// caller's key check, payload digest, kernel registration, and the
+  /// payload decode with its digest re-check. `key_mismatch` is the one
+  /// check that differs: it says why the stored spec does not belong where
+  /// the artifact was found, or returns nullopt. Typed failures:
+  /// kStoreStale (foreign toolchain tag), kUnknownKernel (kernel not
+  /// registered), kStoreCorrupt (everything else).
+  [[nodiscard]] static Result<CompiledUnit> validate_artifact(
+      const json::Value& root,
+      const std::function<std::optional<std::string>(const CompileSpec&)>&
+          key_mismatch);
   /// Full-load classification of one parsed artifact for scan_artifacts().
   [[nodiscard]] static ArtifactInfo::State classify_artifact(
       const json::Value& root, const std::string& filename);

@@ -3,90 +3,109 @@
 #include <cstring>
 #include <vector>
 
-#include "common/bitutil.hpp"
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 
 namespace zolcsim::mem {
 
-namespace {
-
-[[noreturn]] void misaligned(std::uint32_t addr, unsigned size) {
+void Memory::misaligned(std::uint32_t addr, unsigned size) {
   throw MemoryFault("misaligned " + std::to_string(size) +
                     "-byte access at " + hex32(addr));
 }
 
-}  // namespace
-
-const std::uint8_t* Memory::page_for_read(std::uint32_t addr) const {
-  const auto it = pages_.find(addr >> kPageBits);
-  if (it != pages_.end()) return it->second.get();
-  if (baseline_) {
-    const auto base = baseline_->pages_.find(addr >> kPageBits);
-    if (base != baseline_->pages_.end()) return base->second.get();
+void Memory::rehash(std::uint32_t bits) {
+  std::unique_ptr<Slot[]> old = std::move(slots_);
+  const std::uint32_t old_capacity = old ? mask_ + 1 : 0;
+  slots_ = std::make_unique<Slot[]>(std::size_t{1} << bits);
+  mask_ = (1u << bits) - 1;
+  shift_ = 32 - bits;
+  used_ = 0;
+  for (std::uint32_t i = 0; i < old_capacity; ++i) {
+    if (old[i].key == kNoPage) continue;
+    std::uint32_t j = home(old[i].key);
+    while (slots_[j].key != kNoPage) j = (j + 1) & mask_;
+    slots_[j] = old[i];
+    ++used_;
   }
-  return nullptr;
 }
 
-std::uint8_t* Memory::page_for_write(std::uint32_t addr) {
-  Page& page = pages_[addr >> kPageBits];
-  if (!page) {
-    page = std::make_unique<std::uint8_t[]>(kPageSize);
-    const std::uint8_t* base = nullptr;
-    if (baseline_) {
-      const auto it = baseline_->pages_.find(addr >> kPageBits);
-      if (it != baseline_->pages_.end()) base = it->second.get();
-    }
-    if (base) {
-      // Privatizing a baseline page invalidates read pointers handed out
-      // for it earlier; advertise that to pointer-caching consumers.
-      std::memcpy(page.get(), base, kPageSize);
-      ++cow_epoch_;
-    } else {
-      std::memset(page.get(), 0, kPageSize);
-    }
+Memory::Slot& Memory::insert(std::uint32_t key) {
+  if (!slots_) {
+    rehash(kMinIndexBits);
+  } else if (2 * (used_ + 1) > mask_ + 1) {
+    rehash(32 - shift_ + 1);
   }
-  return page.get();
+  std::uint32_t i = home(key);
+  while (slots_[i].key != kNoPage) i = (i + 1) & mask_;
+  slots_[i].key = key;
+  ++used_;
+  return slots_[i];
+}
+
+std::uint8_t* Memory::privatize(std::uint32_t key) {
+  Slot* slot = find(key);
+  if (slot == nullptr) slot = &insert(key);
+  PrivatePage& priv = private_.emplace_back(
+      PrivatePage{key, std::make_unique<std::uint8_t[]>(kPageSize),
+                  slot->page});
+  if (slot->page != nullptr) {
+    // Privatizing a baseline page invalidates read pointers handed out
+    // for it earlier; advertise that to pointer-caching consumers.
+    std::memcpy(priv.data.get(), slot->page, kPageSize);
+    ++cow_epoch_;
+  } else {
+    std::memset(priv.data.get(), 0, kPageSize);
+  }
+  slot->page = priv.data.get();
+  slot->owned = true;
+  return slot->page;
 }
 
 void Memory::set_baseline(std::shared_ptr<const Memory> baseline) {
   ZS_EXPECTS(baseline != nullptr);
   ZS_EXPECTS(!baseline->has_baseline());  // no COW chains
-  ZS_EXPECTS(pages_.empty());
+  ZS_EXPECTS(used_ == 0);
+  // Seed the index with the baseline's page pointers, borrowed read-only:
+  // the same capacity keeps every key in the slot it has there.
+  if (baseline->slots_) {
+    const std::uint32_t capacity = baseline->mask_ + 1;
+    slots_ = std::make_unique<Slot[]>(capacity);
+    std::memcpy(slots_.get(), baseline->slots_.get(), capacity * sizeof(Slot));
+    for (std::uint32_t i = 0; i < capacity; ++i) slots_[i].owned = false;
+    mask_ = baseline->mask_;
+    shift_ = baseline->shift_;
+    used_ = baseline->used_;
+  }
   baseline_ = std::move(baseline);
 }
 
 void Memory::reset_to_baseline() {
   ZS_EXPECTS(baseline_ != nullptr);
-  if (pages_.empty()) return;
-  pages_.clear();
+  if (private_.empty()) return;
+  for (const PrivatePage& priv : private_) {
+    Slot* slot = find(priv.key);
+    slot->page = priv.shadowed;
+    slot->owned = false;
+  }
+  private_.clear();
   ++cow_epoch_;
 }
 
 bool operator==(const Memory& a, const Memory& b) {
   static const std::uint8_t kZeroPage[Memory::kPageSize] = {};
-  // Effective view: private pages shadow baseline pages, absent reads as 0.
-  const auto effective = [](const Memory& m,
-                            std::uint32_t page_no) -> const std::uint8_t* {
-    const auto it = m.pages_.find(page_no);
-    if (it != m.pages_.end()) return it->second.get();
-    if (m.baseline_) {
-      const auto base = m.baseline_->pages_.find(page_no);
-      if (base != m.baseline_->pages_.end()) return base->second.get();
-    }
-    return kZeroPage;
+  // Effective view: every index slot -- private, borrowed from the
+  // baseline, or reset to zero -- and absent pages read as 0.
+  const auto effective = [](const Memory& m, std::uint32_t page_no) {
+    const std::uint8_t* page = m.page_for_read(page_no << Memory::kPageBits);
+    return page != nullptr ? page : kZeroPage;
   };
   const auto covered_by = [&effective](const Memory& lhs, const Memory& rhs) {
-    const auto pages_match = [&](std::uint32_t page_no) {
-      return std::memcmp(effective(lhs, page_no), effective(rhs, page_no),
-                         Memory::kPageSize) == 0;
-    };
-    for (const auto& [page_no, page] : lhs.pages_) {
-      if (!pages_match(page_no)) return false;
-    }
-    if (lhs.baseline_) {
-      for (const auto& [page_no, page] : lhs.baseline_->pages_) {
-        if (!pages_match(page_no)) return false;
+    for (std::uint32_t i = 0; i < lhs.index_capacity(); ++i) {
+      const Memory::Slot& slot = lhs.slots_[i];
+      if (slot.key == Memory::kNoPage || slot.page == nullptr) continue;
+      if (std::memcmp(slot.page, effective(rhs, slot.key),
+                      Memory::kPageSize) != 0) {
+        return false;
       }
     }
     return true;
@@ -94,74 +113,11 @@ bool operator==(const Memory& a, const Memory& b) {
   return covered_by(a, b) && covered_by(b, a);
 }
 
-std::uint8_t Memory::read8(std::uint32_t addr) const {
-  ++stats_.reads;
-  ++stats_.bytes_read;
-  const std::uint8_t* page = page_for_read(addr);
-  return page ? page[addr & (kPageSize - 1)] : 0;
-}
-
-std::uint16_t Memory::read16(std::uint32_t addr) const {
-  if (!is_aligned(addr, 2)) misaligned(addr, 2);
-  ++stats_.reads;
-  stats_.bytes_read += 2;
-  const std::uint8_t* page = page_for_read(addr);
-  if (!page) return 0;
-  const std::uint32_t ofs = addr & (kPageSize - 1);
-  return static_cast<std::uint16_t>(
-      page[ofs] | (static_cast<std::uint16_t>(page[ofs + 1]) << 8));
-}
-
-std::uint32_t Memory::read32(std::uint32_t addr) const {
-  if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  ++stats_.reads;
-  stats_.bytes_read += 4;
-  const std::uint8_t* page = page_for_read(addr);
-  if (!page) return 0;
-  const std::uint32_t ofs = addr & (kPageSize - 1);
-  std::uint32_t value = 0;
-  std::memcpy(&value, page + ofs, 4);  // host is little-endian (x86/ARM64)
-  return value;
-}
-
-std::uint32_t Memory::fetch32(std::uint32_t addr) const {
-  if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  const std::uint8_t* page = page_for_read(addr);
-  if (!page) return 0;
-  std::uint32_t value = 0;
-  std::memcpy(&value, page + (addr & (kPageSize - 1)), 4);
-  return value;
-}
-
-void Memory::write8(std::uint32_t addr, std::uint8_t value) {
-  ++stats_.writes;
-  ++stats_.bytes_written;
-  page_for_write(addr)[addr & (kPageSize - 1)] = value;
-}
-
-void Memory::write16(std::uint32_t addr, std::uint16_t value) {
-  if (!is_aligned(addr, 2)) misaligned(addr, 2);
-  ++stats_.writes;
-  stats_.bytes_written += 2;
-  std::uint8_t* page = page_for_write(addr);
-  const std::uint32_t ofs = addr & (kPageSize - 1);
-  page[ofs] = static_cast<std::uint8_t>(value & 0xFF);
-  page[ofs + 1] = static_cast<std::uint8_t>(value >> 8);
-}
-
-void Memory::write32(std::uint32_t addr, std::uint32_t value) {
-  if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  ++stats_.writes;
-  stats_.bytes_written += 4;
-  std::uint8_t* page = page_for_write(addr);
-  std::memcpy(page + (addr & (kPageSize - 1)), &value, 4);
-}
-
 void Memory::load_bytes(std::uint32_t addr,
                         std::span<const std::uint8_t> bytes) {
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::uint8_t* page = page_for_write(addr + static_cast<std::uint32_t>(i));
-    page[(addr + i) & (kPageSize - 1)] = bytes[i];
+    page[(addr + i) & kOffsetMask] = bytes[i];
   }
 }
 
@@ -169,9 +125,9 @@ void Memory::load_words(std::uint32_t addr,
                         std::span<const std::uint32_t> words) {
   for (std::size_t i = 0; i < words.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(i) * 4;
-    if (!is_aligned(a, 4)) misaligned(a, 4);
+    if ((a & 3u) != 0) misaligned(a, 4);
     std::uint8_t* page = page_for_write(a);
-    std::memcpy(page + (a & (kPageSize - 1)), &words[i], 4);
+    std::memcpy(page + (a & kOffsetMask), &words[i], 4);
   }
 }
 

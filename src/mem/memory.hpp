@@ -8,15 +8,22 @@
 // page privatizes a local copy, and reset_to_baseline() drops the private
 // (dirty) pages in O(dirty) — the warm-start alternative to rebuilding the
 // image with Kernel::setup.
+//
+// Pages are found through an open-addressed page index (DESIGN.md section
+// 8.1). A view's index is seeded with the baseline's page pointers, so a
+// read through to a baseline page is one probe of the view's own index.
+// Reads never write the index: a const baseline is shared by concurrent
+// readers.
 #ifndef ZOLCSIM_MEM_MEMORY_HPP
 #define ZOLCSIM_MEM_MEMORY_HPP
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace zolcsim::mem {
@@ -43,18 +50,55 @@ class Memory {
 
   Memory() = default;
 
-  // Reads. Unwritten memory reads as zero.
-  [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const;
-  [[nodiscard]] std::uint16_t read16(std::uint32_t addr) const;
-  [[nodiscard]] std::uint32_t read32(std::uint32_t addr) const;
+  // Reads. Unwritten memory reads as zero. Inline: these sit on both
+  // simulators' hot paths.
+  [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const {
+    ++stats_.reads;
+    ++stats_.bytes_read;
+    const std::uint8_t* page = page_for_read(addr);
+    return page ? page[addr & kOffsetMask] : 0;
+  }
+
+  [[nodiscard]] std::uint16_t read16(std::uint32_t addr) const {
+    if ((addr & 1u) != 0) misaligned(addr, 2);
+    ++stats_.reads;
+    stats_.bytes_read += 2;
+    return static_cast<std::uint16_t>(load(addr, 2));
+  }
+
+  [[nodiscard]] std::uint32_t read32(std::uint32_t addr) const {
+    if ((addr & 3u) != 0) misaligned(addr, 4);
+    ++stats_.reads;
+    stats_.bytes_read += 4;
+    return load(addr, 4);
+  }
 
   // Writes.
-  void write8(std::uint32_t addr, std::uint8_t value);
-  void write16(std::uint32_t addr, std::uint16_t value);
-  void write32(std::uint32_t addr, std::uint32_t value);
+  void write8(std::uint32_t addr, std::uint8_t value) {
+    ++stats_.writes;
+    ++stats_.bytes_written;
+    page_for_write(addr)[addr & kOffsetMask] = value;
+  }
+
+  void write16(std::uint32_t addr, std::uint16_t value) {
+    if ((addr & 1u) != 0) misaligned(addr, 2);
+    ++stats_.writes;
+    stats_.bytes_written += 2;
+    std::memcpy(page_for_write(addr) + (addr & kOffsetMask), &value, 2);
+  }
+
+  void write32(std::uint32_t addr, std::uint32_t value) {
+    if ((addr & 3u) != 0) misaligned(addr, 4);
+    ++stats_.writes;
+    stats_.bytes_written += 4;
+    std::memcpy(page_for_write(addr) + (addr & kOffsetMask), &value, 4);
+  }
 
   /// Instruction fetch: same as read32 but not counted in data statistics.
-  [[nodiscard]] std::uint32_t fetch32(std::uint32_t addr) const;
+  [[nodiscard]] std::uint32_t fetch32(std::uint32_t addr) const {
+    if ((addr & 3u) != 0) misaligned(addr, 4);
+    return load(addr, 4);
+  }
 
   /// Copies a block of bytes into memory starting at `addr`.
   void load_bytes(std::uint32_t addr, std::span<const std::uint8_t> bytes);
@@ -73,7 +117,7 @@ class Memory {
   /// sparseness. Baseline pages are not counted: with a baseline attached
   /// this is the dirty-page count.
   [[nodiscard]] std::size_t resident_pages() const noexcept {
-    return pages_.size();
+    return private_.size();
   }
 
   // ---- copy-on-write baseline ----
@@ -99,7 +143,13 @@ class Memory {
   /// Pages privatized (or newly created) since set_baseline(); without a
   /// baseline, identical to resident_pages().
   [[nodiscard]] std::size_t dirty_pages() const noexcept {
-    return pages_.size();
+    return private_.size();
+  }
+
+  /// Slots in the page index (0 before the first page; a power of two
+  /// after). Exposed so tests can drive the index past its growth points.
+  [[nodiscard]] std::size_t index_capacity() const noexcept {
+    return slots_ ? std::size_t{mask_} + 1 : 0;
   }
 
   /// Incremented whenever a raw page pointer handed out earlier may have
@@ -150,10 +200,86 @@ class Memory {
  private:
   using Page = std::unique_ptr<std::uint8_t[]>;
 
-  [[nodiscard]] const std::uint8_t* page_for_read(std::uint32_t addr) const;
-  [[nodiscard]] std::uint8_t* page_for_write(std::uint32_t addr);
+  static constexpr std::uint32_t kOffsetMask = kPageSize - 1;
+  /// Slot key of an empty slot; no page number reaches it (they are 20-bit).
+  static constexpr std::uint32_t kNoPage = 0xFFFF'FFFFu;
+  static constexpr std::uint32_t kMinIndexBits = 4;
 
-  std::unordered_map<std::uint32_t, Page> pages_;
+  /// One page-index slot. A slot is never removed once keyed: reset only
+  /// points it back at the page it shadowed.
+  struct Slot {
+    std::uint32_t key = kNoPage;  ///< page number (addr >> kPageBits)
+    bool owned = false;  ///< `page` is this memory's private copy
+    /// The page's bytes, or nullptr when it reads as zero (a private page
+    /// dropped by reset_to_baseline() that the baseline lacks). Baseline
+    /// pages are borrowed read-only: only owned pages are written through.
+    std::uint8_t* page = nullptr;
+  };
+
+  /// A page this memory allocated; `shadowed` is the baseline page it
+  /// replaced (nullptr if none), restored by reset_to_baseline().
+  struct PrivatePage {
+    std::uint32_t key = 0;
+    Page data;
+    std::uint8_t* shadowed = nullptr;
+  };
+
+  [[noreturn]] static void misaligned(std::uint32_t addr, unsigned size);
+
+  /// Home slot of `key`: multiplicative hashing, so page numbers that differ
+  /// only in their high bits (the 64 KiB-apart data regions) spread out.
+  [[nodiscard]] std::uint32_t home(std::uint32_t key) const noexcept {
+    return (key * 0x9E37'79B1u) >> shift_;
+  }
+
+  /// The slot keyed `key`, or nullptr. Linear probing; the load factor
+  /// stays at most 1/2, so a hit is almost always the first probe.
+  [[nodiscard]] const Slot* find(std::uint32_t key) const noexcept {
+    if (!slots_) return nullptr;
+    for (std::uint32_t i = home(key);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.key == key) return &slot;
+      if (slot.key == kNoPage) return nullptr;
+    }
+  }
+  [[nodiscard]] Slot* find(std::uint32_t key) noexcept {
+    return const_cast<Slot*>(std::as_const(*this).find(key));
+  }
+
+  [[nodiscard]] const std::uint8_t* page_for_read(
+      std::uint32_t addr) const noexcept {
+    const Slot* slot = find(addr >> kPageBits);
+    return slot ? slot->page : nullptr;
+  }
+
+  [[nodiscard]] std::uint8_t* page_for_write(std::uint32_t addr) {
+    Slot* slot = find(addr >> kPageBits);
+    if (slot != nullptr && slot->owned) return slot->page;
+    return privatize(addr >> kPageBits);
+  }
+
+  /// Little-endian load of `size` (2 or 4) aligned bytes.
+  [[nodiscard]] std::uint32_t load(std::uint32_t addr,
+                                   unsigned size) const noexcept {
+    const std::uint8_t* page = page_for_read(addr);
+    std::uint32_t value = 0;
+    // The host is little-endian (x86/ARM64).
+    if (page) std::memcpy(&value, page + (addr & kOffsetMask), size);
+    return value;
+  }
+
+  /// Gives page `key` a private copy (of the page it shadows, or zeros) and
+  /// returns it; keys a new slot first if the index lacks one.
+  std::uint8_t* privatize(std::uint32_t key);
+  /// Keys a new slot for `key` (absent), growing the index as needed.
+  Slot& insert(std::uint32_t key);
+  void rehash(std::uint32_t bits);
+
+  std::unique_ptr<Slot[]> slots_;  ///< nullptr until the first page
+  std::uint32_t mask_ = 0;         ///< capacity - 1
+  std::uint32_t shift_ = 32;       ///< 32 - log2(capacity)
+  std::uint32_t used_ = 0;         ///< keyed slots
+  std::vector<PrivatePage> private_;
   std::shared_ptr<const Memory> baseline_;
   std::uint64_t cow_epoch_ = 0;
   mutable MemoryStats stats_;

@@ -6,6 +6,7 @@
 #include "common/contracts.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
+#include "common/toolchain.hpp"
 #include "scenario/parse.hpp"
 
 namespace zolcsim::scenario {
@@ -238,7 +239,7 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
       .member("suite", outcome.suite.name)
       .member("description", outcome.suite.description)
       .member("git_sha", build_git_sha())
-      .member("toolchain", build_toolchain())
+      .member("toolchain", compiler_id())
       .member("baseline", codegen::machine_name(report.baseline))
       .key("wall_seconds")
       .fixed(outcome.wall_seconds, 4)
@@ -314,20 +315,6 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
 std::string_view build_git_sha() {
 #ifdef ZOLCSIM_GIT_SHA
   return ZOLCSIM_GIT_SHA;
-#else
-  return "unknown";
-#endif
-}
-
-std::string build_toolchain() {
-#if defined(__clang__)
-  return "clang " + std::to_string(__clang_major__) + "." +
-         std::to_string(__clang_minor__) + "." +
-         std::to_string(__clang_patchlevel__);
-#elif defined(__GNUC__)
-  return "gcc " + std::to_string(__GNUC__) + "." +
-         std::to_string(__GNUC_MINOR__) + "." +
-         std::to_string(__GNUC_PATCHLEVEL__);
 #else
   return "unknown";
 #endif

@@ -66,8 +66,6 @@ struct SuiteOutcome {
 
 /// Build provenance baked in at configure time ("unknown" outside git).
 [[nodiscard]] std::string_view build_git_sha();
-/// Compiler identity, e.g. "gcc 13.2.0".
-[[nodiscard]] std::string build_toolchain();
 
 }  // namespace zolcsim::scenario
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
+#include "common/strings.hpp"
 #include "sim_test_util.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 namespace {
@@ -308,6 +311,173 @@ TEST(ExecMisc, HaltStopsExecution) {
   const auto r = run_iss(prog);
   EXPECT_EQ(r.regs.read(1), 1);
   EXPECT_EQ(r.stats.instructions, 2u);
+}
+
+// ---- one execute path, on and off the predecoded image ----
+
+/// Everything observable after an ISS run.
+struct Placed {
+  RegFile regs;
+  IssStats stats;
+  std::uint32_t pc = 0;
+  bool halted = false;
+  mem::Memory memory;
+  std::string error;  ///< SimError text, empty if none was thrown
+  AccelSnapshot accel;
+};
+
+constexpr std::uint32_t kPlacedBase = 0x1000;
+constexpr std::uint32_t kPlacedData = 0x8000;
+
+/// Runs `words` from kPlacedBase with the first `image_words` of them
+/// attached as the predecoded image; the rest are fetched from memory.
+Placed run_placed(const std::vector<std::uint32_t>& words,
+                  std::size_t image_words, bool with_accel) {
+  Placed out;
+  out.memory.load_words(kPlacedBase, words);
+  out.memory.load_words(kPlacedData,
+                        std::vector<std::uint32_t>{0x8899'AABBu, 0xCCDD'EEFFu,
+                                                   0x8765'4321u, 0x0102'0304u});
+  std::vector<isa::Instruction> image;
+  for (std::size_t i = 0; i < image_words; ++i) {
+    image.push_back(isa::decode(words[i]));
+  }
+  zolc::ZolcController controller(zolc::ZolcVariant::kFull);
+  Iss iss(out.memory);
+  if (with_accel) iss.set_accelerator(&controller);
+  iss.set_code_image(isa::CodeImage{kPlacedBase, image.data(), image.size()});
+  iss.set_pc(kPlacedBase);
+  try {
+    iss.run(100);
+  } catch (const SimError& e) {
+    out.error = e.what();
+  }
+  out.regs = iss.regs();
+  out.stats = iss.stats();
+  out.pc = iss.pc();
+  out.halted = iss.halted();
+  out.accel = controller.snapshot();
+  return out;
+}
+
+/// The instruction under test with every operand field its format uses set
+/// to the registers and values run_placed()'s prologue prepares.
+isa::Instruction operand_instance(isa::Opcode op, std::uint32_t pc) {
+  const isa::OpcodeInfo& info = isa::opcode_info(op);
+  isa::Instruction in;
+  in.op = op;
+  switch (info.format) {
+    case isa::Format::kR3:
+    case isa::Format::kR3Acc:
+      in.rd = 3, in.rs = 1, in.rt = 2;
+      break;
+    case isa::Format::kRShift:
+      in.rd = 3, in.rt = 1, in.shamt = 3;
+      break;
+    case isa::Format::kR2:
+    case isa::Format::kR1:
+      in.rd = 3, in.rs = op == isa::Opcode::kJalr || op == isa::Opcode::kJr
+                             ? 5
+                             : 1;
+      break;
+    case isa::Format::kI:
+      in.rt = 3, in.rs = 1, in.imm = info.imm_is_signed ? -3 : 0xF0F0;
+      break;
+    case isa::Format::kLui:
+      in.rt = 3, in.imm = 0x1234;
+      break;
+    case isa::Format::kBranchCmp:
+    case isa::Format::kBranchZero:
+      in.rs = 1, in.rt = 2, in.imm = 1;  // taken: skip the next word
+      if (info.format == isa::Format::kBranchZero) in.rt = 0;
+      break;
+    case isa::Format::kMem:
+      in.rs = 4, in.rt = info.is_store ? 2 : 3, in.imm = 8;
+      break;
+    case isa::Format::kJump:
+      in.target = (pc + 8) >> 2;
+      break;
+    case isa::Format::kZolcWrite:
+      // zolon's operand is the region base, which must be word-aligned.
+      in.rs = op == isa::Opcode::kZolOn ? 4 : 2, in.zidx = 1;
+      break;
+    case isa::Format::kZolcNone:
+    case isa::Format::kNone:
+      break;
+  }
+  return in;
+}
+
+/// Prologue (r1 = -7, r2 = 5, r4 = data, r5 = jump-register target), the
+/// word under test, then a halt on both the fall-through and the taken
+/// path. Returns the words and the index of the word under test.
+std::pair<std::vector<std::uint32_t>, std::size_t> placed_program(
+    std::uint32_t word_under_test) {
+  std::vector<isa::Instruction> prologue;
+  emit_li(prologue, 1, static_cast<std::uint32_t>(-7));
+  emit_li(prologue, 2, 5);
+  emit_li(prologue, 4, kPlacedData);
+  const auto at = static_cast<std::uint32_t>(prologue.size() + 1);
+  emit_li(prologue, 5, kPlacedBase + 4 * (at + 2));
+  std::vector<std::uint32_t> words;
+  for (const isa::Instruction& in : prologue) words.push_back(isa::encode(in));
+  words.push_back(word_under_test);
+  words.push_back(isa::encode(b::halt()));
+  words.push_back(isa::encode(b::halt()));
+  return {words, prologue.size()};
+}
+
+void expect_same(const Placed& on, const Placed& off, const std::string& what) {
+  EXPECT_EQ(on.error, off.error) << what;
+  EXPECT_TRUE(on.regs == off.regs) << what;
+  EXPECT_TRUE(on.stats == off.stats) << what;
+  EXPECT_EQ(on.pc, off.pc) << what;
+  EXPECT_EQ(on.halted, off.halted) << what;
+  EXPECT_TRUE(on.memory == off.memory) << what;
+  EXPECT_TRUE(on.accel == off.accel) << what;
+}
+
+TEST(ExecDispatch, EveryOpcodeRunsTheSameOnAndOffTheImage) {
+  const std::size_t index = placed_program(0).second;
+  const std::uint32_t pc = kPlacedBase + 4 * static_cast<std::uint32_t>(index);
+  for (std::size_t i = 1; i < static_cast<std::size_t>(
+                                  isa::Opcode::kOpcodeCount_);
+       ++i) {
+    const auto op = static_cast<isa::Opcode>(i);
+    const std::string name(isa::opcode_info(op).mnemonic);
+    const std::vector<std::uint32_t> program =
+        placed_program(isa::encode(operand_instance(op, pc))).first;
+    for (const bool with_accel : {true, false}) {
+      const Placed on = run_placed(program, program.size(), with_accel);
+      const Placed off = run_placed(program, index, with_accel);
+      const std::string what =
+          name + (with_accel ? " with" : " without") + " accelerator";
+      expect_same(on, off, what);
+      if (!isa::opcode_info(op).is_zolc) {
+        EXPECT_TRUE(on.error.empty()) << what << ": " << on.error;
+        EXPECT_TRUE(on.halted) << what;
+      } else if (with_accel) {
+        // The controller may reject the operands (a uZOLC register write on
+        // ZOLCfull); whatever it does, it does the same on both paths.
+        EXPECT_EQ(on.stats.instructions, index + (on.error.empty() ? 2 : 0))
+            << what;
+      } else {
+        EXPECT_EQ(on.error, "ZOLC instruction at " + hex32(pc) +
+                                " with no loop accelerator attached")
+            << what;
+      }
+    }
+  }
+}
+
+TEST(ExecDispatch, IllegalWordTrapsTheSameOnAndOffTheImage) {
+  const auto [program, index] = placed_program(0xFFFF'FFFFu);
+  const std::uint32_t pc = kPlacedBase + 4 * static_cast<std::uint32_t>(index);
+  const Placed on = run_placed(program, program.size(), false);
+  const Placed off = run_placed(program, index, false);
+  expect_same(on, off, "illegal word");
+  EXPECT_EQ(on.error, "illegal instruction 0xFFFFFFFF at " + hex32(pc));
+  EXPECT_EQ(on.stats.instructions, index);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
+#include "common/toolchain.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/unit_store.hpp"
 #include "harness/sweep.hpp"
@@ -188,7 +189,7 @@ TEST(JsonEmit, BenchArtifactBytesApartFromHost) {
   }
   std::string text = scenario::bench_artifact_json(done);
   text = replace_all(std::move(text), scenario::build_git_sha(), "<sha>");
-  text = replace_all(std::move(text), scenario::build_toolchain(), "<cc>");
+  text = replace_all(std::move(text), compiler_id(), "<cc>");
   EXPECT_NE(text.find(R"("wall_seconds": 1.2346,)" "\n"
                       R"(  "mips": 98.77,)"),
             std::string::npos);

@@ -2,8 +2,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "mem/memory.hpp"
@@ -273,6 +276,138 @@ TEST(MemoryCow, FuzzAgainstPlainCopyOracle) {
     view.reset_to_baseline();
     EXPECT_TRUE(view == *baseline) << "round " << round;
     EXPECT_EQ(view.dirty_pages(), 0u);
+  }
+}
+
+// ---- page index ----
+
+TEST(MemoryIndex, FirstAndLastPagesLiveSideBySide) {
+  Memory m;
+  m.write32(0x0000'0000, 0x1111'1111);
+  m.write32(0xFFFF'F000, 0x2222'2222);
+  m.write32(0xFFFF'FFFC, 0x3333'3333);
+  EXPECT_EQ(m.resident_pages(), 2u);
+  EXPECT_EQ(m.read32(0x0000'0000), 0x1111'1111u);
+  EXPECT_EQ(m.read32(0xFFFF'F000), 0x2222'2222u);
+  EXPECT_EQ(m.read32(0xFFFF'FFFC), 0x3333'3333u);
+  EXPECT_NE(m.peek_page(0x0), m.peek_page(0xFFFF'F000));
+  EXPECT_EQ(m.read32(0x0000'1000), 0u);
+  EXPECT_EQ(m.read32(0xFFFF'E000), 0u);
+}
+
+TEST(MemoryIndex, GrowthKeepsEarlierPagePointers) {
+  Memory m;
+  std::vector<const std::uint8_t*> pages;
+  // Strided page numbers (64 KiB apart, like the kernel data regions) and
+  // enough of them to grow the index several times.
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    const std::uint32_t addr = i * 0x1'0000u + 4 * i;
+    m.write32(addr, i + 1);
+    pages.push_back(m.peek_page(addr));
+    ASSERT_NE(pages.back(), nullptr);
+  }
+  EXPECT_EQ(m.resident_pages(), 200u);
+  EXPECT_GE(m.index_capacity(), 2 * m.resident_pages());
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    const std::uint32_t addr = i * 0x1'0000u + 4 * i;
+    EXPECT_EQ(m.peek_page(addr), pages[i]) << "page " << i;
+    std::uint32_t value = 0;
+    std::memcpy(&value, pages[i] + (addr & (Memory::kPageSize - 1)), 4);
+    EXPECT_EQ(value, i + 1);
+  }
+}
+
+TEST(MemoryIndex, SeededBaselinePagePrivatizesAndResets) {
+  const auto baseline = make_baseline();
+  Memory view;
+  view.set_baseline(baseline);
+  // Reading through returns the baseline's own page: no copy, no write.
+  EXPECT_EQ(view.peek_page(0x1000), baseline->peek_page(0x1000));
+  const std::uint32_t original = view.read32(0x1008);
+  EXPECT_EQ(original, baseline->read32(0x1008));
+  const std::uint64_t epoch = view.cow_epoch();
+
+  view.write32(0x1008, ~original);
+  EXPECT_GT(view.cow_epoch(), epoch);
+  EXPECT_EQ(view.dirty_pages(), 1u);
+  EXPECT_NE(view.peek_page(0x1000), baseline->peek_page(0x1000));
+  EXPECT_EQ(view.read32(0x1008), ~original);
+  EXPECT_EQ(baseline->read32(0x1008), original);
+
+  view.reset_to_baseline();
+  EXPECT_EQ(view.dirty_pages(), 0u);
+  EXPECT_EQ(view.peek_page(0x1000), baseline->peek_page(0x1000));
+  EXPECT_EQ(view.read32(0x1008), original);
+  EXPECT_TRUE(view == *baseline);
+}
+
+TEST(MemoryIndex, MisalignedAccessFaultsBeforeTouchingAPage) {
+  Memory m;
+  EXPECT_THROW(m.write32(0x2002, 1), MemoryFault);
+  EXPECT_THROW(m.write16(0x3001, 1), MemoryFault);
+  EXPECT_THROW((void)m.read32(0x4001), MemoryFault);
+  EXPECT_THROW((void)m.read16(0x5003), MemoryFault);
+  EXPECT_THROW((void)m.fetch32(0x6002), MemoryFault);
+  EXPECT_EQ(m.resident_pages(), 0u);
+  EXPECT_EQ(m.index_capacity(), 0u);
+  EXPECT_EQ(m.stats().reads, 0u);
+  EXPECT_EQ(m.stats().writes, 0u);
+}
+
+TEST(MemoryIndex, StatsStayExactThroughAViewAndAReset) {
+  const auto baseline = make_baseline();
+  Memory view;
+  view.set_baseline(baseline);
+  (void)view.read8(0x10);                    // baseline page
+  (void)view.read16(0x2000);                 // baseline page
+  (void)view.read32(9 * Memory::kPageSize);  // absent page
+  view.write8(0x11, 1);                      // privatizes
+  view.write16(0x12, 2);
+  view.write32(9 * Memory::kPageSize, 3);  // new page
+  (void)view.fetch32(0x20);                // not a data access
+  view.count_accesses(2, 8, 1, 4);
+  view.reset_to_baseline();  // statistics are kept
+  EXPECT_EQ(view.stats().reads, 5u);
+  EXPECT_EQ(view.stats().bytes_read, 15u);
+  EXPECT_EQ(view.stats().writes, 4u);
+  EXPECT_EQ(view.stats().bytes_written, 11u);
+  EXPECT_EQ(baseline->stats().reads, 0u);  // reads through never count there
+}
+
+// Serve workers and sweep threads each run on their own view of one shared
+// const baseline; reads never write the baseline, so concurrent views are
+// race-free (the ThreadSanitizer CI leg runs this test).
+TEST(MemoryIndex, ConcurrentViewsReadOneBaseline) {
+  const auto baseline = make_baseline();
+  constexpr int kThreads = 3;
+  std::array<std::uint64_t, kThreads> sums{};
+  std::array<bool, kThreads> equal{};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&baseline, &sums, &equal, t] {
+      Memory view;
+      view.set_baseline(baseline);
+      std::uint64_t sum = 0;
+      for (int round = 0; round < 4; ++round) {
+        for (std::uint32_t a = 0; a < 4 * Memory::kPageSize; a += 4) {
+          sum += view.read32(a);
+        }
+        // A private write per round, then back to the shared image.
+        view.write32(static_cast<std::uint32_t>(t) * Memory::kPageSize, 7);
+        view.reset_to_baseline();
+      }
+      sums[t] = sum;
+      equal[t] = view == *baseline;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::uint64_t expected = 0;
+  for (std::uint32_t a = 0; a < 4 * Memory::kPageSize; a += 4) {
+    expected += baseline->fetch32(a);
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(sums[t], 4 * expected) << "thread " << t;
+    EXPECT_TRUE(equal[t]) << "thread " << t;
   }
 }
 

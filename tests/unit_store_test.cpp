@@ -11,11 +11,16 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+#include "common/strings.hpp"
+#include "common/toolchain.hpp"
 #include "flow/cache.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/run.hpp"
 #include "flow/unit_store.hpp"
 #include "kernels/kernels.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
 
 namespace zolcsim::flow {
 namespace {
@@ -224,6 +229,76 @@ TEST(UnitStore, ScanAndGcClassifyArtifacts) {
   EXPECT_EQ(after.value().size(), 1u);
 }
 
+/// The state scan_artifacts() gives the artifact file `name`.
+UnitStore::ArtifactInfo::State scanned_state(const UnitStore& store,
+                                             const std::string& name) {
+  const auto scanned = store.scan_artifacts();
+  EXPECT_TRUE(scanned.ok());
+  for (const UnitStore::ArtifactInfo& info : scanned.value()) {
+    if (info.file == name) return info.state;
+  }
+  ADD_FAILURE() << "no artifact " << name;
+  return UnitStore::ArtifactInfo::State::kCorrupt;
+}
+
+std::string artifact_name(const CompileSpec& spec) {
+  return "unit-" + hex64(UnitStore::key_of(spec)) + ".json";
+}
+
+// load() and `store stat` share one validation; each maps its verdict its
+// own way. Pinned: foreign tag -> kStoreStale / stale; unregistered kernel
+// -> kUnknownKernel / stale; artifact filed under a key it does not own ->
+// kStoreCorrupt / corrupt.
+TEST(UnitStore, LoadAndStatVerdictsAgree) {
+  using State = UnitStore::ArtifactInfo::State;
+  const std::string tag = UnitStore::toolchain_tag();
+
+  {  // Foreign toolchain tag.
+    const std::string dir = fresh_store_dir("unit_store_verdict_tag");
+    UnitStore store(dir);
+    const CompileSpec spec = spec_for("fir");
+    ASSERT_TRUE(store.save(CompiledUnit::compile(spec).value()).ok());
+    std::string text = slurp(fs::path(dir) / artifact_name(spec));
+    text.replace(text.find(tag), tag.size(), "zolcsim-unit-v1|gcc 999.0.0");
+    spill(fs::path(dir) / artifact_name(spec), text);
+    const auto loaded = store.load(spec);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::kStoreStale);
+    EXPECT_EQ(scanned_state(store, artifact_name(spec)), State::kStale);
+  }
+  {  // A kernel this build does not register, filed under its own key.
+    const std::string dir = fresh_store_dir("unit_store_verdict_kernel");
+    UnitStore store(dir);
+    const CompileSpec fir = spec_for("fir");
+    ASSERT_TRUE(store.save(CompiledUnit::compile(fir).value()).ok());
+    const CompileSpec ghost = spec_for("retired_kernel");
+    std::string text = slurp(fs::path(dir) / artifact_name(fir));
+    const auto at = text.find("\"kernel\": \"fir\"");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 15, "\"kernel\": \"retired_kernel\"");
+    fs::remove(fs::path(dir) / artifact_name(fir));
+    spill(fs::path(dir) / artifact_name(ghost), text);
+    const auto loaded = store.load(ghost);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::kUnknownKernel);
+    EXPECT_EQ(scanned_state(store, artifact_name(ghost)), State::kStale);
+  }
+  {  // fir's artifact filed under dotprod's key.
+    const std::string dir = fresh_store_dir("unit_store_verdict_key");
+    UnitStore store(dir);
+    const CompileSpec fir = spec_for("fir");
+    const CompileSpec dotprod = spec_for("dotprod");
+    ASSERT_TRUE(store.save(CompiledUnit::compile(fir).value()).ok());
+    spill(fs::path(dir) / artifact_name(dotprod),
+          slurp(fs::path(dir) / artifact_name(fir)));
+    const auto loaded = store.load(dotprod);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::kStoreCorrupt);
+    EXPECT_EQ(scanned_state(store, artifact_name(dotprod)), State::kCorrupt);
+    EXPECT_EQ(scanned_state(store, artifact_name(fir)), State::kCurrent);
+  }
+}
+
 TEST(CompileCacheStore, SecondCacheSkipsEveryCompile) {
   const std::string dir = fresh_store_dir("unit_store_cache");
   UnitStore first_store(dir);
@@ -293,6 +368,31 @@ TEST(UnitStore, KeyDependsOnEveryAxis) {
   EXPECT_NE(UnitStore::key_of(geometry), key);
   EXPECT_NE(UnitStore::key_of(env), key);
   EXPECT_NE(UnitStore::key_of(kernel), key);
+}
+
+// The store's toolchain tag and the BENCH artifact's `toolchain` field come
+// from one helper, so a unit store and a benchmark artifact written by the
+// same build name the same compiler.
+TEST(UnitStore, ToolchainTagNamesTheBenchArtifactToolchain) {
+  auto suite = scenario::parse_suite(R"({
+    "suite": "toolchain_pin", "version": 1,
+    "sweep": {"kernels": ["dotprod"], "machines": ["XRdefault"],
+              "modes": ["iss"]}
+  })",
+                                     "toolchain test");
+  ASSERT_TRUE(suite.ok()) << suite.error().to_string();
+  CompileCache cache;
+  auto outcome = scenario::run_suite(suite.value(), cache);
+  ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
+  auto artifact = json::parse(scenario::bench_artifact_json(outcome.value()));
+  ASSERT_TRUE(artifact.ok()) << artifact.error().to_string();
+  const json::Value* toolchain = artifact.value().find("toolchain");
+  ASSERT_NE(toolchain, nullptr);
+
+  const std::string tag = UnitStore::toolchain_tag();
+  ASSERT_NE(tag.find('|'), std::string::npos);
+  EXPECT_EQ(tag.substr(tag.find('|') + 1), toolchain->as_string());
+  EXPECT_EQ(toolchain->as_string(), compiler_id());
 }
 
 }  // namespace
