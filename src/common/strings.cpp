@@ -85,14 +85,12 @@ std::optional<std::int64_t> parse_int(std::string_view s) noexcept {
     if (next < acc) return std::nullopt;  // overflow
     acc = next;
   }
-  if (acc > static_cast<std::uint64_t>(INT64_MAX)) {
-    // Allow INT64_MIN via "-9223372036854775808".
-    if (!(negative && acc == static_cast<std::uint64_t>(INT64_MAX) + 1)) {
-      return std::nullopt;
-    }
-  }
-  const auto magnitude = static_cast<std::int64_t>(acc);
-  return negative ? -magnitude : magnitude;
+  // The magnitude may reach 2^63 only for INT64_MIN ("-9223372036854775808").
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(INT64_MAX) + (negative ? 1 : 0);
+  if (acc > limit) return std::nullopt;
+  // Negate in unsigned arithmetic: -2^63 has no positive int64 counterpart.
+  return static_cast<std::int64_t>(negative ? 0 - acc : acc);
 }
 
 std::string hex32(std::uint32_t value) {

@@ -1,10 +1,9 @@
-// LoopAccelerator: the interface between the processor model and a
-// zero-overhead loop controller. The CPU module depends only on this
-// interface; src/zolc provides the implementations (uZOLC / ZOLClite /
-// ZOLCfull). The interface mirrors the hardware hookup in Fig. 1 of the
-// paper: the instruction decoder drives init-mode writes, the PC decoding
-// unit exchanges task-end / redirect / candidate-exit information, and the
-// register file receives index write-backs.
+// Plain data exchanged between the processor models and the zero-overhead
+// loop controller (zolc::ZolcController), mirroring the hardware hookup in
+// Fig. 1 of the paper: the PC decoding unit receives task-end redirects
+// (AccelEvent), the register file receives index write-backs (RfWrite),
+// speculative fetch events are rolled back through AccelSnapshot, and the
+// summary tier replays loops from the exported tables (NestProgram).
 #ifndef ZOLCSIM_CPU_ACCEL_HPP
 #define ZOLCSIM_CPU_ACCEL_HPP
 
@@ -14,6 +13,10 @@
 #include <vector>
 
 #include "isa/opcodes.hpp"
+
+namespace zolcsim::zolc {
+class ZolcController;  // zolc/controller.hpp
+}
 
 namespace zolcsim::cpu {
 
@@ -115,27 +118,6 @@ struct AccelSnapshot {
   }
 };
 
-/// Static description of the innermost hardware-managed loop the controller
-/// is currently iterating: the summary-execution tier's view of the
-/// hardware. Valid only while the controller sits in a self-looping task
-/// (the continue successor re-enters the same task), i.e. a body that
-/// repeats under pure back-edge control with no task switching.
-struct LoopSummaryInfo {
-  std::uint32_t body_start = 0;  ///< PC of the first body instruction
-  std::uint32_t body_end = 0;    ///< PC of the last body instruction (the
-                                 ///< task-end trigger comparator value)
-  std::uint8_t index_rf = 0;     ///< GPR receiving the index write-back
-  std::int32_t step = 0;         ///< index increment per back-edge
-  std::int32_t current = 0;      ///< live index value (mirrors index_rf)
-  /// Back-edges the hardware will still take before the done event, by the
-  /// loop-condition recurrence. The body therefore executes remaining + 1
-  /// more times (the final iteration's boundary event is `done`).
-  std::uint64_t remaining = 0;
-  /// ZOLCfull only: candidate-exit records are armed for this loop. The
-  /// summary tier must decline (a record could fire on a body branch).
-  bool has_exit_records = false;
-};
-
 /// Loop-condition relation for NestLoopDesc, matching the controller's
 /// comparator semantics: the back-edge is taken while
 /// nest_cond_holds(cond, current + step, final).
@@ -150,6 +132,31 @@ enum class NestCond : std::uint8_t { kLt, kLe, kGt, kGe };
     case NestCond::kGe: return value >= final_value;
   }
   return false;
+}
+
+/// Back-edges a loop at `cur` will still take before its done event: the
+/// largest n >= 0 with nest_cond_holds(cond, cur + k*step, fin) for every k
+/// in [1, n]. Conditions are monotone along the step direction, so the
+/// count is closed-form. Returns -1 when the recurrence does not terminate
+/// (step zero or against the condition direction).
+[[nodiscard]] inline std::int64_t nest_remaining_backedges(
+    std::int64_t cur, std::int64_t step, std::int64_t fin,
+    NestCond cond) noexcept {
+  switch (cond) {
+    case NestCond::kLt:
+      if (step <= 0) return -1;
+      return cur >= fin ? 0 : (fin - cur - 1) / step;
+    case NestCond::kLe:
+      if (step <= 0) return -1;
+      return cur > fin ? 0 : (fin - cur) / step;
+    case NestCond::kGt:
+      if (step >= 0) return -1;
+      return cur <= fin ? 0 : (cur - fin - 1) / -step;
+    case NestCond::kGe:
+      if (step >= 0) return -1;
+      return cur < fin ? 0 : (cur - fin) / -step;
+  }
+  return -1;
 }
 
 /// One loop-table entry exported to the summary tier (NestProgram).
@@ -177,6 +184,10 @@ struct NestTaskDesc {
   std::uint8_t cont = 0;  ///< continue-successor task
   std::uint8_t done = 0;  ///< done-successor task
   bool is_last = false;
+  /// uZOLC: a done event re-arms this task and falls through to end_pc + 4
+  /// with the controller still active (an enclosing software loop re-enters
+  /// the region with no reprogramming).
+  bool rearm = false;
   bool valid = false;
   /// A fetch event at end_pc is statically guaranteed to resolve without a
   /// hardware fault (every task in the done-cascade from here references a
@@ -190,91 +201,13 @@ struct NestTaskDesc {
 /// function of the programmed tables and activation base, so it stays valid
 /// for a whole active period (tables cannot be rewritten while active).
 /// Dynamic state (loop currents, current task) comes from AccelSnapshot.
+/// uZOLC exports itself as one re-arming task over one loop.
 struct NestProgram {
   std::vector<NestTaskDesc> tasks;
   std::vector<NestLoopDesc> loops;
-};
-
-class LoopAccelerator {
- public:
-  virtual ~LoopAccelerator() = default;
-
-  /// Initialization-mode table write (zolw.* instructions). `op` selects the
-  /// table, `idx` the entry, `value` the payload (from GPR rs).
-  virtual void init_write(isa::Opcode op, std::uint8_t idx,
-                          std::uint32_t value) = 0;
-
-  /// zolon: switch to active mode starting at `start_task`, with table PC
-  /// offsets relative to byte address `base`.
-  virtual void activate(std::uint8_t start_task, std::uint32_t base) = 0;
-
-  /// zoloff: leave active mode.
-  virtual void deactivate() = 0;
-
-  /// Cheap check: would on_fetch(pc) produce an event? Used by the pipeline
-  /// to avoid snapshots on the common path and by the fetch-gating policy.
-  [[nodiscard]] virtual bool will_trigger(std::uint32_t pc) const = 0;
-
-  /// Fetch-time hook ("PC decode" side): if `pc` ends the current task,
-  /// performs the task switch (including combinational cascades across
-  /// shared nest boundaries) and returns the redirect + index write-backs.
-  virtual std::optional<AccelEvent> on_fetch(std::uint32_t pc) = 0;
-
-  /// Resolution-time hook: a taken branch/jump at `pc` targeting `target`.
-  /// Matches candidate exit records (loop break-outs) and entry records
-  /// (multi-entry loops); returns reinit write-backs when one matches.
-  virtual std::optional<AccelEvent> on_taken_control(std::uint32_t pc,
-                                                     std::uint32_t target) = 0;
-
-  [[nodiscard]] virtual AccelSnapshot snapshot() const = 0;
-  virtual void restore(const AccelSnapshot& snapshot) = 0;
-
-  /// The latched task-end comparator value: the PC whose fetch will raise
-  /// the next event, when the controller is active and armed. The summary
-  /// tier uses it to bound the straight-line region it may replay.
-  /// Equivalent to the will_trigger() predicate, exposed as a value.
-  [[nodiscard]] virtual std::optional<std::uint32_t> trigger_pc() const {
-    return std::nullopt;
-  }
-
-  /// Summary-tier hook: the innermost loop currently being iterated, when
-  /// the controller can describe it (active, self-looping task, computable
-  /// trip count). Default: no summary, so accelerators that do not opt in
-  /// simply never engage the fast path.
-  [[nodiscard]] virtual std::optional<LoopSummaryInfo> innermost_summary()
-      const {
-    return std::nullopt;
-  }
-
-  /// Summary-tier hook: applies `iterations` back-edges of the innermost
-  /// loop in one step -- index advance and continue-event accounting exactly
-  /// as if on_fetch had fired that many times without reaching `done`.
-  /// Precondition: innermost_summary() returned remaining >= iterations.
-  virtual void advance_innermost(std::uint64_t iterations) {
-    (void)iterations;
-  }
-
-  /// Summary-tier hook: the programmed tables in executable form, or
-  /// nullptr when the accelerator cannot export them (then the summary tier
-  /// falls back to per-event chaining through on_fetch). The pointer stays
-  /// valid until the next table write, activation, or reset.
-  [[nodiscard]] virtual const NestProgram* nest_program() const {
-    return nullptr;
-  }
-
-  /// Summary-tier hook: credits event counters for boundary events the
-  /// summary tier resolved itself via nest_program() (their architectural
-  /// effects were applied through restore() and direct register writes).
-  /// Mirrors exactly what the skipped on_fetch calls would have counted.
-  virtual void credit_summary_events(std::uint64_t continues,
-                                     std::uint64_t dones,
-                                     std::uint64_t cascades,
-                                     std::uint64_t max_cascade_depth) {
-    (void)continues;
-    (void)dones;
-    (void)cascades;
-    (void)max_cascade_depth;
-  }
+  /// uZOLC: the loop's live index is AccelSnapshot::micro_current, not
+  /// loop_current[0].
+  bool micro = false;
 };
 
 }  // namespace zolcsim::cpu

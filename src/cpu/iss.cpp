@@ -4,6 +4,7 @@
 
 #include "common/strings.hpp"
 #include "isa/encoding.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 

@@ -39,8 +39,10 @@ class Iss {
  public:
   explicit Iss(mem::Memory& memory) : mem_(memory) {}
 
-  /// Attaches a loop accelerator (non-owning; may be nullptr).
-  void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
+  /// Attaches the loop controller (non-owning; may be nullptr).
+  void set_accelerator(zolc::ZolcController* accel) noexcept {
+    accel_ = accel;
+  }
 
   /// Attaches a predecoded code image (non-owning; must outlive the ISS)
   /// and builds one execute record per image word. Fetches inside the image
@@ -128,7 +130,7 @@ class Iss {
   std::vector<ExecOp> image_ops_;  ///< parallel to image_
   isa::Instruction off_image_instr_;  ///< last word decoded off the image
   ExecOp off_image_op_;
-  LoopAccelerator* accel_ = nullptr;
+  zolc::ZolcController* accel_ = nullptr;
   RetireHook retire_hook_;
   LoopSummarizer summarizer_;
   std::uint32_t pc_ = 0;

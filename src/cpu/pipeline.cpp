@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/strings.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 

@@ -74,8 +74,10 @@ class Pipeline {
  public:
   explicit Pipeline(mem::Memory& memory, PipelineConfig config = {});
 
-  /// Attaches a loop accelerator (non-owning; may be nullptr).
-  void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
+  /// Attaches the loop controller (non-owning; may be nullptr).
+  void set_accelerator(zolc::ZolcController* accel) noexcept {
+    accel_ = accel;
+  }
 
   /// Attaches a predecoded code image (non-owning; must outlive the
   /// pipeline) and computes its per-word hazard metadata. Fetches inside the
@@ -168,7 +170,7 @@ class Pipeline {
   RegFile regs_;
   isa::CodeImage image_;
   std::vector<isa::HazardInfo> image_hazards_;  ///< parallel to image_
-  LoopAccelerator* accel_ = nullptr;
+  zolc::ZolcController* accel_ = nullptr;
   RetireHook retire_hook_;
   Latches latches_;
   std::array<FetchInfo, kFetchRing> fetch_ring_;

@@ -6,6 +6,7 @@
 #include "common/contracts.hpp"
 #include "cpu/exec.hpp"
 #include "isa/encoding.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 
@@ -40,30 +41,6 @@ std::uint8_t access_width(Opcode op) noexcept {
 // The specialized micro-op kinds use alu_eval's own wrap-around helpers.
 using detail::wrap_add;
 using detail::wrap_mul;
-
-// Back-edges a loop at `cur` will still take before its done event: the
-// largest n >= 0 with nest_cond_holds(cur + k*step, fin) for every k in
-// [1, n]. Conditions are monotone along the step direction, so the count is
-// closed-form. Returns -1 when the recurrence does not terminate. Mirrors
-// the controller's own remaining-backedge arithmetic exactly.
-std::int64_t nest_remaining_backedges(std::int64_t cur, std::int64_t step,
-                                      std::int64_t fin, NestCond cond) {
-  switch (cond) {
-    case NestCond::kLt:
-      if (step <= 0) return -1;
-      return cur >= fin ? 0 : (fin - cur - 1) / step;
-    case NestCond::kLe:
-      if (step <= 0) return -1;
-      return cur > fin ? 0 : (fin - cur) / step;
-    case NestCond::kGt:
-      if (step >= 0) return -1;
-      return cur <= fin ? 0 : (cur - fin - 1) / -step;
-    case NestCond::kGe:
-      if (step >= 0) return -1;
-      return cur < fin ? 0 : (cur - fin) / -step;
-  }
-  return -1;
-}
 
 }  // namespace
 
@@ -451,7 +428,7 @@ account:
 }
 
 LoopSummarizer::Replay LoopSummarizer::try_engage(
-    LoopAccelerator& accel, const isa::CodeImage& image, mem::Memory& mem,
+    zolc::ZolcController& zolc, const isa::CodeImage& image, mem::Memory& mem,
     RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
   // Copy-on-write memories invalidate handed-out page pointers when a
   // baseline page is privatized or the dirty set is reset; re-validate the
@@ -460,167 +437,18 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
     drop_page_cache();
     mem_epoch_ = mem.cow_epoch();
   }
-  // Accelerators that export their tables get summary execution: every
-  // boundary event resolves inline, with no controller call per event. The
-  // chaining path below remains for accelerators that only expose the
-  // per-event hooks (uZOLC, custom implementations).
-  if (const NestProgram* np = accel.nest_program()) {
-    return engage_nest(*np, accel, image, mem, regs, pc, max_instructions);
-  }
-  Replay out;
-  out.resume_pc = pc;
-  {
-    const std::optional<std::uint32_t> trig = accel.trigger_pc();
-    if (!trig || pc > *trig) return out;
-  }
-  ++stats_.attempts;
-
-  std::uint32_t cur_pc = pc;
-  std::optional<BailoutReason> bail;
-
-  while (out.instructions < max_instructions) {
-    const std::optional<std::uint32_t> trig = accel.trigger_pc();
-    if (!trig || cur_pc > *trig) break;
-    CacheEntry& entry = region(cur_pc, *trig, image, mem);
-    if (entry.rejected) {
-      bail = *entry.rejected;
-      break;
-    }
-    const BodyInfo& body = entry.body;
-    const std::size_t body_len = body.uops.size();
-
-    std::optional<LoopSummaryInfo> summary;
-    if (entry.maybe_self_loop) {
-      summary = accel.innermost_summary();
-      if (!(summary && summary->body_start == cur_pc &&
-            summary->body_end == *trig)) {
-        summary.reset();
-        entry.maybe_self_loop = false;
-      }
-    }
-    if (summary) {
-      // The current task self-loops: the region is an innermost loop body
-      // repeating under pure back-edge control, so its remaining iterations
-      // can replay in closed form -- no boundary event per back-edge.
-      if (summary->has_exit_records) {
-        bail = BailoutReason::kExitRecord;
-        break;
-      }
-      if (((body.writes_mask >> summary->index_rf) & 1u) != 0 ||
-          entry.bulk_rejected) {
-        bail = BailoutReason::kNonAffineUpdate;
-        break;
-      }
-      if (summary->remaining > 0 && summary->remaining >= min_backedges_) {
-        const bool reads_index =
-            ((body.reads_mask >> summary->index_rf) & 1u) != 0;
-        // Per-iteration address stride each store slot is predicted to
-        // take: `step` when based on the loop index, the net self-increment
-        // when based on an affine register, zero when invariant.
-        std::vector<std::int64_t>& strides = scratch_strides_;
-        strides.clear();
-        for (std::uint32_t slot : body.store_slots) {
-          const std::uint8_t base = body.uops[slot].rs;
-          strides.push_back(base == summary->index_rf
-                                ? summary->step
-                                : body.affine_delta[base]);
-        }
-
-        const std::uint64_t room =
-            (max_instructions - out.instructions) / body_len;
-        const std::uint64_t iters =
-            std::min<std::uint64_t>(summary->remaining, room);
-        std::vector<StoreRecord>* const recorded = scratch_rec_;
-        recorded[0].clear();
-        recorded[1].clear();
-        std::int64_t cur_index = summary->current;
-        std::uint64_t backedges = 0;
-        std::size_t partial = 0;
-        for (std::uint64_t it = 0; it < iters && !bail; ++it) {
-          std::vector<StoreRecord>* rec = it < 2 ? &recorded[it] : nullptr;
-          partial = run_region(body, mem, regs, 1, 0, 0, 0, nullptr, rec, &bail)
-                        .partial;
-          if (bail) break;
-          // Fused back-edge: the hardware's continue event at the body's
-          // last instruction -- index recurrence + redirect to body_start.
-          cur_index += summary->step;
-          ++backedges;
-          if (reads_index) {
-            regs.write(summary->index_rf, static_cast<std::int32_t>(cur_index));
-          }
-          if (it == 1) {
-            if (auto check = check_recorded_iterations(recorded[0],
-                                                       recorded[1], strides)) {
-              bail = check;
-              partial = 0;  // the iteration completed; boundary is exact
-              break;
-            }
-          }
-        }
-        if (backedges > 0) {
-          accel.advance_innermost(backedges);
-          // Index writes elided during replay (the body never reads the
-          // index): one closed-form write lands the final value.
-          if (!reads_index) {
-            regs.write(summary->index_rf, static_cast<std::int32_t>(cur_index));
-          }
-        }
-        out.instructions += backedges * body_len + (bail ? partial : 0);
-        out.fetch_events += backedges;
-        if (bail) {
-          cur_pc =
-              summary->body_start + 4 * static_cast<std::uint32_t>(partial);
-          break;
-        }
-        if (iters < summary->remaining) break;  // out of budget mid-loop
-        continue;  // same region: the final iteration runs below, and its
-                   // boundary event resolves the loop's done/cascade
-      }
-      if (out.instructions == 0) {
-        bail = BailoutReason::kShortLoop;
-        break;
-      }
-    }
-
-    // Single pass over the region, then raise the boundary event ourselves
-    // and follow the redirect into the next region.
-    if (out.instructions + body_len > max_instructions) break;
-    const std::size_t partial =
-        run_region(body, mem, regs, 1, 0, 0, 0, nullptr, nullptr, &bail)
-            .partial;
-    if (bail) {
-      out.instructions += partial;
-      cur_pc += 4 * static_cast<std::uint32_t>(partial);
-      break;
-    }
-    out.instructions += body_len;
-    ++out.fetch_events;  // mirrors the baseline's zolc_fetch_events count
-    const std::optional<AccelEvent> ev = accel.on_fetch(*trig);
-    if (!ev) {
-      cur_pc = *trig + 4;
-      continue;
-    }
-    for (const RfWrite& w : ev->rf_writes) regs.write(w.reg, w.value);
-    cur_pc = ev->redirect.value_or(*trig + 4);
-  }
-
-  out.resume_pc = cur_pc;
-  if (bail) ++stats_.bailouts[idx(*bail)];
-  out.engaged = out.instructions > 0;
-  if (out.engaged) ++stats_.engagements;
-  stats_.replayed_instructions += out.instructions;
-  stats_.replayed_backedges += out.fetch_events;
-  return out;
+  return engage_nest(zolc, image, mem, regs, pc, max_instructions);
 }
 
 LoopSummarizer::Replay LoopSummarizer::engage_nest(
-    const NestProgram& np, LoopAccelerator& accel, const isa::CodeImage& image,
-    mem::Memory& mem, RegFile& regs, std::uint32_t pc,
-    std::uint64_t max_instructions) {
+    zolc::ZolcController& zolc, const isa::CodeImage& image, mem::Memory& mem,
+    RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
   Replay out;
   out.resume_pc = pc;
-  AccelSnapshot snap = accel.snapshot();
-  if (!snap.active || snap.current_task >= np.tasks.size()) return out;
+  AccelSnapshot snap = zolc.snapshot();
+  if (!snap.active) return out;
+  const NestProgram& np = zolc.nest_program();
+  if (snap.current_task >= np.tasks.size()) return out;
   if (!np.tasks[snap.current_task].valid ||
       pc > np.tasks[snap.current_task].end_pc) {
     return out;
@@ -630,10 +458,12 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
   // Engagement-local copies of the controller's dynamic state. The entire
   // run below -- region passes, back-edges, boundary events, cascades --
   // operates on these; the final state is written back once via restore().
+  // uZOLC keeps its one loop's index in micro_current.
+  std::int32_t* const index =
+      np.micro ? &snap.micro_current : snap.loop_current.data();
+  const std::size_t loop_count = np.loops.size();
   std::array<std::int32_t, kMaxAccelLoops> cur;
-  for (std::uint8_t i = 0; i < snap.loop_count; ++i) {
-    cur[i] = snap.loop_current[i];
-  }
+  for (std::size_t i = 0; i < loop_count; ++i) cur[i] = index[i];
   std::uint8_t cur_task = snap.current_task;
   bool active = true;
   std::uint32_t cur_pc = pc;
@@ -860,9 +690,11 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
       cur[td.loop] = ld.initial;
       regs.write_raw(ld.index_rf, ld.initial);
       ++dones;
-      if (td.is_last) {
-        active = false;
-        redirect.reset();  // fall through to the code after the region
+      if (td.is_last || td.rearm) {
+        // Fall through to the code after the region; a re-arming (uZOLC)
+        // task keeps the controller active for the next entry.
+        active = td.rearm;
+        redirect.reset();
         break;
       }
       t = td.done;
@@ -879,13 +711,11 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
   // One write-back covers every event resolved above; the credited counters
   // are exactly what the skipped on_fetch calls would have counted.
   if (continues + dones > 0) {
-    for (std::uint8_t i = 0; i < snap.loop_count; ++i) {
-      snap.loop_current[i] = cur[i];
-    }
+    for (std::size_t i = 0; i < loop_count; ++i) index[i] = cur[i];
     snap.current_task = cur_task;
     snap.active = active;
-    accel.restore(snap);
-    accel.credit_summary_events(continues, dones, cascades, max_depth);
+    zolc.restore(snap);
+    zolc.credit_summary_events(continues, dones, cascades, max_depth);
   }
 
   out.resume_pc = cur_pc;

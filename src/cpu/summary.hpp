@@ -1,14 +1,14 @@
 // Loop-summary fast path for the ISS (DESIGN.md section 7). When execution
 // lands inside a ZOLC-managed region, the LoopSummarizer takes over from
-// per-instruction stepping: it decodes the straight-line region between the
-// current PC and the controller's latched trigger into pre-bound micro-ops,
-// executes it in a tight loop, raises the boundary event (on_fetch) itself,
-// and follows the redirect into the next region. When the current task
-// self-loops (an innermost loop body repeating under pure back-edge
-// control), it goes further: it records the first iteration's store pattern,
-// validates it against the second, then replays all remaining iterations
-// with the index recurrence applied in closed form (advance_innermost) --
-// no per-iteration controller event at all. Replay is architecturally
+// per-instruction stepping: against the controller's exported NestProgram
+// (every variant, uZOLC included, exports one) it decodes the straight-line
+// region between the current PC and the task's end PC into pre-bound
+// micro-ops, executes it in a tight loop, resolves the boundary event
+// inline, and follows the redirect into the next region. A self-looping
+// task replays in bulk: the first two iterations record and validate the
+// store pattern, then the remaining iterations run fused with the index
+// recurrence applied in closed form -- no per-iteration event at all. The
+// final controller state is written back once. Replay is architecturally
 // invisible: micro-ops reuse the exact alu_eval / mem_load / mem_store
 // semantics and every disqualifying event bails out to cycle-accurate mode
 // at an exact instruction boundary with a typed BailoutReason surfaced as a
@@ -98,13 +98,13 @@ class LoopSummarizer {
   };
 
   /// Offers the fast path a chance to run at `pc`. Engages when `pc` opens
-  /// a qualifying straight-line region bounded by the controller's trigger;
-  /// then alternates closed-form replay of self-looping tasks with chained
-  /// region execution across boundary events, until a region disqualifies,
-  /// the controller disarms, or `max_instructions` is reached. Leaves
-  /// registers, memory, and accelerator state exactly as cycle-accurate
-  /// stepping would at resume_pc.
-  Replay try_engage(LoopAccelerator& accel, const isa::CodeImage& image,
+  /// a qualifying straight-line region bounded by the current task's end
+  /// PC; then alternates closed-form replay of self-looping tasks with
+  /// chained region execution across boundary events, until a region
+  /// disqualifies, the controller disarms, or `max_instructions` is
+  /// reached. Leaves registers, memory, and controller state exactly as
+  /// cycle-accurate stepping would at resume_pc.
+  Replay try_engage(zolc::ZolcController& zolc, const isa::CodeImage& image,
                     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
                     std::uint64_t max_instructions);
 
@@ -185,10 +185,6 @@ class LoopSummarizer {
     /// Region runs fine one pass at a time but cannot be replayed in
     /// closed form (a store base is neither invariant nor self-affine).
     std::optional<BailoutReason> bulk_rejected;
-    /// Cleared the first time this region is chained while the controller
-    /// is NOT self-looping over it, eliding the innermost_summary() query
-    /// on later visits (boundary regions never become loop bodies).
-    bool maybe_self_loop = true;
     BodyInfo body;  ///< valid iff !rejected
   };
 
@@ -223,14 +219,13 @@ class LoopSummarizer {
                         std::vector<StoreRecord>* record,
                         std::optional<BailoutReason>* bail);
 
-  /// Summary execution against an exported NestProgram: runs regions and
-  /// resolves every boundary event inline on engagement-local copies of the
-  /// controller's dynamic state (no per-event virtual dispatch), then
-  /// writes the final state back through restore() and credits the elided
-  /// event counters. Architecturally exact, including ZolcStats.
-  Replay engage_nest(const NestProgram& np, LoopAccelerator& accel,
-                     const isa::CodeImage& image, mem::Memory& mem,
-                     RegFile& regs, std::uint32_t pc,
+  /// Summary execution against the controller's exported NestProgram: runs
+  /// regions and resolves every boundary event inline on engagement-local
+  /// copies of the controller's dynamic state (no per-event controller
+  /// call), then writes the final state back through restore() and credits
+  /// the elided event counters. Architecturally exact, including ZolcStats.
+  Replay engage_nest(zolc::ZolcController& zolc, const isa::CodeImage& image,
+                     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
                      std::uint64_t max_instructions);
 
   std::uint64_t min_backedges_ = 2;

@@ -183,16 +183,13 @@ Result<SuiteOutcome> run_suite(const Suite& suite, flow::CompileCache& cache,
   }
   if (suite.expect_csv_fnv1a64) {
     if (*suite.expect_csv_fnv1a64 != outcome.csv_fnv1a64) {
-      if (options.enforce_golden) {
-        return Error{ErrorCode::kVerifyMismatch,
-                     "CSV digest " + hex64(outcome.csv_fnv1a64) +
-                         " differs from the golden " +
-                         hex64(*suite.expect_csv_fnv1a64)}
-            .with_context("suite " + suite.name);
-      }
-    } else {
-      outcome.golden_checked = true;
+      return Error{ErrorCode::kVerifyMismatch,
+                   "CSV digest " + hex64(outcome.csv_fnv1a64) +
+                       " differs from the golden " +
+                       hex64(*suite.expect_csv_fnv1a64)}
+          .with_context("suite " + suite.name);
     }
+    outcome.golden_checked = true;
   }
 
   if (auto equal = check_mode_equivalence(suite, outcome.report);
@@ -200,11 +197,8 @@ Result<SuiteOutcome> run_suite(const Suite& suite, flow::CompileCache& cache,
     return std::move(equal).error();
   }
 
-  if (options.enforce_thresholds) {
-    if (auto checked = check_thresholds(suite, outcome.report);
-        !checked.ok()) {
-      return std::move(checked).error();
-    }
+  if (auto checked = check_thresholds(suite, outcome.report); !checked.ok()) {
+    return std::move(checked).error();
   }
 
   std::uint64_t instructions = 0;

@@ -21,14 +21,11 @@ namespace zolcsim::scenario {
 /// the suite "warm_start" field, the compile-cache store_hits/compiles
 /// split, and the "prepares" counter object; v4 added the per-point
 /// "tenants" / "ctx_switches" / "ctx_switch_cycles" fields for multi-tenant
-/// suites. `zolcsim bench --compare` still accepts v1/v2/v3 artifacts
-/// (absent fields take their defaults, tenants defaulting to 1).
+/// suites. `zolcsim bench --compare` reads v4 artifacts only.
 inline constexpr std::string_view kBenchSchema = "zolcsim-bench-v4";
 
 struct RunOptions {
-  unsigned threads = 0;            ///< sweep worker count; 0 = hardware
-  bool enforce_golden = true;      ///< fail on csv_fnv1a64 mismatch
-  bool enforce_thresholds = true;  ///< fail on threshold violations
+  unsigned threads = 0;  ///< sweep worker count; 0 = hardware
 };
 
 /// Everything a completed suite produced. `csv` is the deterministic
@@ -50,8 +47,7 @@ struct SuiteOutcome {
 /// Runs the suite's grid. Errors: everything run_sweep can fail with, plus
 /// kVerifyMismatch when the rendered CSV's digest differs from the suite's
 /// golden (or, for warm_start "both", when the warm CSV differs from the
-/// cold one) and kThreshold when a per-cell expectation is violated (both
-/// subject to RunOptions).
+/// cold one) and kThreshold when a per-cell expectation is violated.
 [[nodiscard]] Result<SuiteOutcome> run_suite(const Suite& suite,
                                              flow::CompileCache& cache,
                                              const RunOptions& options = {});

@@ -76,12 +76,15 @@ void ZolcController::reset() {
 }
 
 void ZolcController::refresh_trigger() noexcept {
-  if (!active_ || variant_ == ZolcVariant::kMicro || tasks_.empty()) {
-    trigger_pc_ = kNoTrigger;
+  trigger_pc_ = kNoTrigger;
+  if (!active_) return;
+  if (variant_ == ZolcVariant::kMicro) {
+    trigger_pc_ = micro_.end_pc;
     return;
   }
+  if (tasks_.empty()) return;
   const TaskEntry& t = tasks_[current_task_];
-  trigger_pc_ = t.valid ? ofs_to_pc(t.end_pc_ofs) : kNoTrigger;
+  if (t.valid) trigger_pc_ = ofs_to_pc(t.end_pc_ofs);
 }
 
 void ZolcController::init_write(Opcode op, std::uint8_t idx,
@@ -188,6 +191,7 @@ void ZolcController::activate(std::uint8_t start_task, std::uint32_t base) {
   if (variant_ == ZolcVariant::kMicro) {
     micro_.current = micro_.initial;
     active_ = true;
+    refresh_trigger();
     return;
   }
   if (start_task >= tasks_.size()) {
@@ -223,15 +227,6 @@ bool ZolcController::pc_to_ofs(std::uint32_t pc, std::uint16_t& ofs) const {
 
 std::uint32_t ZolcController::ofs_to_pc(std::uint16_t ofs) const noexcept {
   return base_ + (static_cast<std::uint32_t>(ofs) << 2);
-}
-
-bool ZolcController::will_trigger(std::uint32_t pc) const {
-  if (!active_) return false;
-  if (variant_ == ZolcVariant::kMicro) return pc == micro_.end_pc;
-  // Single comparison against the latched end PC of the current task (the
-  // hardware's task-end comparator); refresh_trigger() keeps it coherent
-  // across task switches.
-  return pc == trigger_pc_;
 }
 
 std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
@@ -369,126 +364,50 @@ cpu::AccelSnapshot ZolcController::snapshot() const {
   return s;
 }
 
-namespace {
-
-/// Back-edges a loop in state `cur` will still take: the largest n >= 0 with
-/// cond_holds(cur + k*step, final) for every k in [1, n]. All conditions are
-/// monotone along the step direction, so the count is closed-form. Returns
-/// -1 when the recurrence does not terminate (step against the condition
-/// direction, or zero) -- the caller then declines to summarize.
-std::int64_t remaining_backedges(std::int64_t cur, std::int64_t step,
-                                 std::int64_t fin, LoopCond cond) {
-  switch (cond) {
-    case LoopCond::kLt:
-      if (step <= 0) return -1;
-      return cur >= fin ? 0 : (fin - cur - 1) / step;
-    case LoopCond::kLe:
-      if (step <= 0) return -1;
-      return cur > fin ? 0 : (fin - cur) / step;
-    case LoopCond::kGt:
-      if (step >= 0) return -1;
-      return cur <= fin ? 0 : (cur - fin - 1) / -step;
-    case LoopCond::kGe:
-      if (step >= 0) return -1;
-      return cur < fin ? 0 : (cur - fin) / -step;
-  }
-  return -1;
-}
-
-}  // namespace
-
-std::optional<std::uint32_t> ZolcController::trigger_pc() const {
-  if (!active_) return std::nullopt;
-  if (variant_ == ZolcVariant::kMicro) return micro_.end_pc;
-  if (trigger_pc_ == kNoTrigger) return std::nullopt;
-  return trigger_pc_;
-}
-
-std::optional<cpu::LoopSummaryInfo> ZolcController::innermost_summary() const {
-  if (!active_) return std::nullopt;
-  cpu::LoopSummaryInfo info;
-  if (variant_ == ZolcVariant::kMicro) {
-    const std::int64_t remaining = remaining_backedges(
-        micro_.current, micro_.step, micro_.final, micro_.cond);
-    if (remaining < 0 || micro_.start_pc > micro_.end_pc) return std::nullopt;
-    info.body_start = micro_.start_pc;
-    info.body_end = micro_.end_pc;
-    info.index_rf = micro_.index_rf;
-    info.step = micro_.step;
-    info.current = micro_.current;
-    info.remaining = static_cast<std::uint64_t>(remaining);
-    return info;
-  }
-  // Summaries describe only a self-looping task: the continue successor
-  // re-enters the same task, so the whole body repeats under one back-edge
-  // comparator with no task switching in between.
-  const TaskEntry& t = tasks_[current_task_];
-  if (!t.valid || t.next_task_cont != current_task_) return std::nullopt;
-  const LoopEntry& loop = loops_[t.loop_id];
-  if (!loop.valid) return std::nullopt;
-  if (task_start_[current_task_] > t.end_pc_ofs) return std::nullopt;
-  const std::int64_t remaining =
-      remaining_backedges(loop.current, loop.step, loop.final, loop.cond);
-  if (remaining < 0) return std::nullopt;
-  info.body_start = ofs_to_pc(task_start_[current_task_]);
-  info.body_end = ofs_to_pc(t.end_pc_ofs);
-  info.index_rf = loop.index_rf;
-  info.step = loop.step;
-  info.current = loop.current;
-  info.remaining = static_cast<std::uint64_t>(remaining);
-  if (variant_ == ZolcVariant::kFull) {
-    const unsigned bank = t.loop_id * geom_.max_exits_per_loop;
-    for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
-      if (exits_[bank + slot].valid) {
-        info.has_exit_records = true;
-        break;
-      }
-    }
-  }
-  return info;
-}
-
-void ZolcController::advance_innermost(std::uint64_t iterations) {
-  ZS_EXPECTS(active_);
-  if (variant_ == ZolcVariant::kMicro) {
-    micro_.current = static_cast<std::int32_t>(
-        micro_.current +
-        static_cast<std::int64_t>(micro_.step) *
-            static_cast<std::int64_t>(iterations));
-  } else {
-    const TaskEntry& t = tasks_[current_task_];
-    ZS_EXPECTS(t.valid && t.next_task_cont == current_task_);
-    LoopEntry& loop = loops_[t.loop_id];
-    loop.current = static_cast<std::int32_t>(
-        loop.current + static_cast<std::int64_t>(loop.step) *
-                           static_cast<std::int64_t>(iterations));
-  }
-  stats_.continue_events += iterations;
-}
-
-const cpu::NestProgram* ZolcController::nest_program() const {
-  if (variant_ == ZolcVariant::kMicro || !active_) return nullptr;
-  if (!nest_dirty_) return &nest_prog_;
-  nest_prog_.loops.assign(loops_.size(), cpu::NestLoopDesc{});
-  nest_prog_.tasks.assign(tasks_.size(), cpu::NestTaskDesc{});
+const cpu::NestProgram& ZolcController::nest_program() const {
+  if (!nest_dirty_) return nest_prog_;
+  nest_dirty_ = false;
   static_assert(static_cast<int>(LoopCond::kLt) ==
                         static_cast<int>(cpu::NestCond::kLt) &&
                     static_cast<int>(LoopCond::kGe) ==
                         static_cast<int>(cpu::NestCond::kGe),
                 "NestCond must mirror LoopCond");
+  const auto describe_loop = [](cpu::NestLoopDesc& d, std::uint8_t index_rf,
+                                LoopCond cond, std::int32_t step,
+                                std::int32_t initial, std::int32_t final) {
+    d.valid = true;
+    d.index_rf = index_rf;
+    d.cond = static_cast<cpu::NestCond>(cond);
+    d.step = step;
+    d.initial = initial;
+    d.final = final;
+    const std::int64_t edges =
+        cpu::nest_remaining_backedges(initial, step, final, d.cond);
+    d.trips = edges < 0 ? 0 : static_cast<std::uint64_t>(edges) + 1;
+  };
+  nest_prog_.micro = variant_ == ZolcVariant::kMicro;
+  if (nest_prog_.micro) {
+    // One task over one loop: continue redirects to start_pc, done
+    // re-initializes the index and falls through with the controller armed.
+    nest_prog_.loops.assign(1, cpu::NestLoopDesc{});
+    describe_loop(nest_prog_.loops[0], micro_.index_rf, micro_.cond,
+                  micro_.step, micro_.initial, micro_.final);
+    cpu::NestTaskDesc t;
+    t.start_pc = micro_.start_pc;
+    t.end_pc = micro_.end_pc;
+    t.rearm = true;
+    t.valid = true;
+    t.walk_safe = true;
+    nest_prog_.tasks.assign(1, t);
+    return nest_prog_;
+  }
+  nest_prog_.loops.assign(loops_.size(), cpu::NestLoopDesc{});
+  nest_prog_.tasks.assign(tasks_.size(), cpu::NestTaskDesc{});
   for (unsigned i = 0; i < loops_.size(); ++i) {
     const LoopEntry& l = loops_[i];
     cpu::NestLoopDesc& d = nest_prog_.loops[i];
-    d.valid = l.valid;
     if (!l.valid) continue;
-    d.index_rf = l.index_rf;
-    d.cond = static_cast<cpu::NestCond>(l.cond);
-    d.step = l.step;
-    d.initial = l.initial;
-    d.final = l.final;
-    const std::int64_t edges =
-        remaining_backedges(l.initial, l.step, l.final, l.cond);
-    d.trips = edges < 0 ? 0 : static_cast<std::uint64_t>(edges) + 1;
+    describe_loop(d, l.index_rf, l.cond, l.step, l.initial, l.final);
     if (variant_ == ZolcVariant::kFull) {
       const unsigned bank = i * geom_.max_exits_per_loop;
       for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
@@ -534,8 +453,7 @@ const cpu::NestProgram* ZolcController::nest_program() const {
     }
     d.walk_safe = safe;
   }
-  nest_dirty_ = false;
-  return &nest_prog_;
+  return nest_prog_;
 }
 
 void ZolcController::credit_summary_events(std::uint64_t continues,

@@ -1,7 +1,9 @@
 // ZolcController: architectural model of the zero-overhead loop controller,
-// implementing the cpu::LoopAccelerator interface. One class models all
-// three hardware variants (table geometry differs; uZOLC additionally
-// bypasses the task machinery entirely and uses its private register file).
+// called directly by the ISS, the pipeline and the summary tier (the fixed
+// hookup of the paper's Fig. 1; the data it exchanges is in cpu/accel.hpp).
+// One class models all three hardware variants (table geometry differs;
+// uZOLC additionally bypasses the task machinery entirely and uses its
+// private register file).
 // The geometry is a construction-time parameter: the default reproduces the
 // paper's prototype, wider/deeper geometries size every table at runtime.
 //
@@ -21,6 +23,7 @@
 #define ZOLCSIM_ZOLC_CONTROLLER_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +35,7 @@
 
 namespace zolcsim::zolc {
 
-class ZolcController final : public cpu::LoopAccelerator {
+class ZolcController {
  public:
   /// Builds a controller of `variant` with the tables sized by `geometry`
   /// (restricted to the tables the variant implements). The default geometry
@@ -75,29 +78,58 @@ class ZolcController final : public cpu::LoopAccelerator {
 
   /// Typed restore of the CPU-side loop-index snapshot: kBadContext when
   /// the snapshot's loop count does not match the active geometry (this
-  /// controller untouched), instead of the untyped contract failure the
-  /// virtual restore() surface turns it into.
+  /// controller untouched), instead of the SimError restore() throws.
   [[nodiscard]] Result<void> try_restore(const cpu::AccelSnapshot& snapshot);
 
-  // ---- cpu::LoopAccelerator ----
-  void init_write(isa::Opcode op, std::uint8_t idx,
-                  std::uint32_t value) override;
-  void activate(std::uint8_t start_task, std::uint32_t base) override;
-  void deactivate() override;
-  [[nodiscard]] bool will_trigger(std::uint32_t pc) const override;
-  std::optional<cpu::AccelEvent> on_fetch(std::uint32_t pc) override;
+  // ---- processor hookup ----
+
+  /// Initialization-mode table write (zolw.* instructions). `op` selects the
+  /// table, `idx` the entry, `value` the payload (from GPR rs).
+  void init_write(isa::Opcode op, std::uint8_t idx, std::uint32_t value);
+
+  /// zolon: switch to active mode starting at `start_task`, with table PC
+  /// offsets relative to byte address `base`.
+  void activate(std::uint8_t start_task, std::uint32_t base);
+
+  /// zoloff: leave active mode.
+  void deactivate();
+
+  /// Would on_fetch(pc) produce an event? One compare against the latched
+  /// task-end comparator (uZOLC: its end PC). Used by the simulators to
+  /// skip snapshots on the common path and by the fetch-gating policy.
+  [[nodiscard]] bool will_trigger(std::uint32_t pc) const noexcept {
+    return pc == trigger_pc_;
+  }
+
+  /// Fetch-time event ("PC decode" side): if `pc` ends the current task,
+  /// performs the task switch (including combinational cascades across
+  /// shared nest boundaries) and returns the redirect + index write-backs.
+  std::optional<cpu::AccelEvent> on_fetch(std::uint32_t pc);
+
+  /// Resolution-time event: a taken branch/jump at `pc` targeting `target`.
+  /// Matches candidate exit records (loop break-outs) and entry records
+  /// (multi-entry loops); returns reinit write-backs when one matches.
   std::optional<cpu::AccelEvent> on_taken_control(std::uint32_t pc,
-                                                  std::uint32_t target) override;
-  [[nodiscard]] cpu::AccelSnapshot snapshot() const override;
-  void restore(const cpu::AccelSnapshot& snapshot) override;
-  [[nodiscard]] std::optional<std::uint32_t> trigger_pc() const override;
-  [[nodiscard]] std::optional<cpu::LoopSummaryInfo> innermost_summary()
-      const override;
-  void advance_innermost(std::uint64_t iterations) override;
-  [[nodiscard]] const cpu::NestProgram* nest_program() const override;
+                                                  std::uint32_t target);
+
+  /// Active-mode state for speculative fetch events and their rollback.
+  [[nodiscard]] cpu::AccelSnapshot snapshot() const;
+  void restore(const cpu::AccelSnapshot& snapshot);
+
+  // ---- summary tier ----
+
+  /// The programmed tables in summary-executable form (uZOLC as one
+  /// re-arming task over one loop). The reference stays valid until the
+  /// next table write, activation, context restore, or reset.
+  [[nodiscard]] const cpu::NestProgram& nest_program() const;
+
+  /// Credits event counters for boundary events the summary tier resolved
+  /// itself from nest_program() (their architectural effects were applied
+  /// through restore() and direct register writes). Mirrors exactly what
+  /// the skipped on_fetch calls would have counted.
   void credit_summary_events(std::uint64_t continues, std::uint64_t dones,
                              std::uint64_t cascades,
-                             std::uint64_t max_cascade_depth) override;
+                             std::uint64_t max_cascade_depth);
 
  private:
   /// Maps a byte PC to a word offset (pc_ofs_bits wide) from the activation
@@ -109,8 +141,8 @@ class ZolcController final : public cpu::LoopAccelerator {
   void apply_reinit_mask(std::uint32_t mask, cpu::AccelEvent& ev);
 
   /// Recomputes trigger_pc_ -- the hardware's latched task-end comparator
-  /// input -- after anything that changes the current task, the base, or
-  /// the active flag.
+  /// input (uZOLC: its end PC register) -- after anything that changes the
+  /// current task, the base, the end PC, or the active flag.
   void refresh_trigger() noexcept;
 
   /// Sentinel trigger_pc_ value no word-aligned fetch can match.

@@ -5,7 +5,9 @@
 // controller snapshots. Part two drives each typed BailoutReason with a
 // hand-built ZOLC program (or the validation seam) and checks that the
 // decline is counted AND that the architectural state still matches the
-// baseline exactly. Part three pins the per-run statistics reset.
+// baseline exactly. A hand-built uZOLC program pins the re-arming region on
+// the shared replay engine, and part three pins the per-run statistics
+// reset.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -116,15 +118,22 @@ FastPathStats cosim(const kernels::Kernel& kernel, MachineKind machine,
 
 TEST(FastPathCosim, PaperSuiteMatchesBaselineOnEveryMachine) {
   std::uint64_t replayed = 0;
+  std::uint64_t micro_replayed = 0;
   for (const auto& kernel : kernels::kernel_registry()) {
     for (const MachineKind machine :
          {MachineKind::kUZolc, MachineKind::kZolcLite, MachineKind::kZolcFull}) {
-      replayed += cosim(*kernel, machine).replayed_instructions;
+      const FastPathStats fast = cosim(*kernel, machine);
+      replayed += fast.replayed_instructions;
+      if (machine == MachineKind::kUZolc) {
+        micro_replayed += fast.replayed_instructions;
+      }
     }
   }
   // The tier must have actually engaged somewhere, or this test proves
-  // nothing about replay.
+  // nothing about replay -- uZOLC included, which replays through the same
+  // exported NestProgram as the task-table variants.
   EXPECT_GT(replayed, 0u);
+  EXPECT_GT(micro_replayed, 0u);
 }
 
 TEST(FastPathCosim, ExtendedSuiteMatchesBaselineOnDeepGeometries) {
@@ -545,6 +554,98 @@ TEST(FastPathBailouts, ValidationSeamRejectsDoctoredRecordings) {
             BailoutReason::kValidationMismatch);
   EXPECT_EQ(check({{0x100, 4}}, {{0x104, 2}}, {4}),
             BailoutReason::kValidationMismatch);
+}
+
+// ---------------- uZOLC on the shared replay engine ----------------
+
+/// One ISS run of a hand-built program with everything the equivalence
+/// check compares, memory included.
+struct MicroRun {
+  mem::Memory memory;
+  cpu::IssStats stats;
+  cpu::RegFile regs;
+  FastPathStats fastpath;
+  zolc::ZolcStats zolc_stats;
+  cpu::AccelSnapshot snapshot;
+};
+
+void run_micro(const std::vector<Instruction>& prog, bool fast,
+               MicroRun& out) {
+  test::load_program(out.memory, kBase, prog);
+  ZolcController controller(ZolcVariant::kMicro);
+  cpu::Iss iss(out.memory);
+  iss.set_accelerator(&controller);
+  iss.set_fast_path(fast);
+  iss.set_pc(kBase);
+  iss.run(2'000'000);
+  EXPECT_TRUE(iss.halted());
+  out.stats = iss.stats();
+  out.regs = iss.regs();
+  out.fastpath = iss.fastpath_stats();
+  out.zolc_stats = controller.zolc_stats();
+  out.snapshot = controller.snapshot();
+}
+
+TEST(FastPathMicro, ReArmedRegionReplaysOnEveryEntry) {
+  // uZOLC over a 4-instruction body (i in [0, 20)), wrapped in a software
+  // loop that re-enters the region three times. The done event re-arms the
+  // controller and falls through, so each entry starts with the index back
+  // at its initial value; its first back-edge redirects into the body and
+  // the rest of the loop replays from there.
+  constexpr std::uint16_t kStart = 26;
+  constexpr std::uint16_t kEnd = 29;
+  constexpr std::int16_t kTrips = 20;
+  constexpr int kEntries = 3;
+  std::vector<Instruction> prog;
+  prog.push_back(b::addi(2, 0, 0));          // acc
+  prog.push_back(b::addi(1, 0, 0));          // index
+  prog.push_back(b::addi(10, 0, kEntries));  // software loop counter
+  li32(prog, 7, 0x4000);                     // output pointer
+  const auto micro = [&](zolc::MicroReg reg, std::uint32_t value) {
+    emit_table_write(prog, Opcode::kZolwU, static_cast<std::uint8_t>(reg),
+                     value);
+  };
+  micro(zolc::MicroReg::kInitial, 0);
+  micro(zolc::MicroReg::kFinal, kTrips);
+  micro(zolc::MicroReg::kStep, 1);
+  micro(zolc::MicroReg::kStartPc, kBase + 4 * kStart);
+  micro(zolc::MicroReg::kEndPc, kBase + 4 * kEnd);
+  micro(zolc::MicroReg::kCtrl, zolc::pack_micro_ctrl(1, LoopCond::kLt));
+  emit_activate(prog, 0);
+  ASSERT_EQ(prog.size(), kStart);
+  prog.push_back(b::add(2, 2, 1));      // 26: body start
+  prog.push_back(b::sw(2, 0, 7));       // 27
+  prog.push_back(b::addi(7, 7, 4));     // 28
+  prog.push_back(b::nop());             // 29: end PC
+  prog.push_back(b::addi(10, 10, -1));  // 30: after the done event
+  prog.push_back(b::bne(10, 0, -6));    // 31: re-enter at 26
+  prog.push_back(b::halt());
+
+  MicroRun base;
+  MicroRun fast;
+  run_micro(prog, /*fast=*/false, base);
+  run_micro(prog, /*fast=*/true, fast);
+  EXPECT_TRUE(fast.regs == base.regs);
+  EXPECT_TRUE(fast.memory == base.memory);
+  EXPECT_TRUE(fast.stats == base.stats);
+  EXPECT_TRUE(fast.zolc_stats == base.zolc_stats);
+  EXPECT_TRUE(fast.snapshot == base.snapshot);
+  EXPECT_EQ(fast.regs.read(2), kEntries * (kTrips * (kTrips - 1) / 2));
+  EXPECT_EQ(fast.regs.read_u(7), 0x4000u + 4 * kEntries * kTrips);
+  EXPECT_EQ(base.zolc_stats.continue_events,
+            std::uint64_t{kEntries} * (kTrips - 1));
+  EXPECT_EQ(base.zolc_stats.done_events, std::uint64_t{kEntries});
+  EXPECT_TRUE(fast.snapshot.active);  // re-armed after the last entry
+
+  // Every entry engages once, after its first (stepped) back-edge: the
+  // remaining kTrips - 1 passes replay, ending in the re-arming done event.
+  EXPECT_EQ(fast.fastpath.attempts, std::uint64_t{kEntries});
+  EXPECT_EQ(fast.fastpath.engagements, std::uint64_t{kEntries});
+  EXPECT_EQ(fast.fastpath.replayed_backedges,
+            std::uint64_t{kEntries} * (kTrips - 1));
+  EXPECT_EQ(fast.fastpath.replayed_instructions,
+            std::uint64_t{kEntries} * (kTrips - 1) * 4);
+  EXPECT_EQ(fast.fastpath.total_bailouts(), 0u);
 }
 
 // ---------------- part three: per-run statistics reset ----------------

@@ -12,6 +12,7 @@
 #include "harness/experiment.hpp"
 #include "isa/build.hpp"
 #include "isa/encoding.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim::flow {
 namespace {
@@ -144,7 +145,7 @@ TEST(CompiledUnit, CapacityOverrunWithoutFallbackReportsCode) {
 
 // ---------------- runtime stage ----------------
 
-TEST(FlowRun, OneUnitRunsManyConfigsMatchingTheCompatWrapper) {
+TEST(FlowRun, OneUnitRunsManyConfigsMatchingFreshCompiles) {
   const kernels::Kernel* kernel = kernels::find_kernel("fir");
   ASSERT_NE(kernel, nullptr);
   const auto unit =
@@ -162,14 +163,14 @@ TEST(FlowRun, OneUnitRunsManyConfigsMatchingTheCompatWrapper) {
     plan.config = config;
     const auto staged = run(unit.value(), plan);
     ASSERT_TRUE(staged.ok()) << staged.error().to_string();
-    const auto compat =
-        harness::run_experiment(*kernel, MachineKind::kZolcLite, {}, config);
-    ASSERT_TRUE(compat.ok());
-    EXPECT_EQ(staged.value().stats.cycles, compat.value().stats.cycles);
+    const auto fresh =
+        test::compile_and_run(*kernel, MachineKind::kZolcLite, plan);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(staged.value().stats.cycles, fresh.value().stats.cycles);
     EXPECT_EQ(staged.value().stats.instructions,
-              compat.value().stats.instructions);
+              fresh.value().stats.instructions);
     EXPECT_EQ(staged.value().zolc_stats.continue_events,
-              compat.value().zolc_stats.continue_events);
+              fresh.value().zolc_stats.continue_events);
   }
 }
 

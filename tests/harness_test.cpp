@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim::harness {
 namespace {
 
 using codegen::MachineKind;
+using test::compile_and_run;
 
 TEST(Harness, PercentReduction) {
   EXPECT_DOUBLE_EQ(percent_reduction(100, 100), 0.0);
@@ -20,8 +22,8 @@ TEST(Harness, PercentReduction) {
 TEST(Harness, RunsAreDeterministic) {
   const kernels::Kernel* kernel = kernels::find_kernel("fir");
   ASSERT_NE(kernel, nullptr);
-  const auto a = run_experiment(*kernel, MachineKind::kZolcLite);
-  const auto b = run_experiment(*kernel, MachineKind::kZolcLite);
+  const auto a = compile_and_run(*kernel, MachineKind::kZolcLite);
+  const auto b = compile_and_run(*kernel, MachineKind::kZolcLite);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().stats.cycles, b.value().stats.cycles);
   EXPECT_EQ(a.value().stats.instructions, b.value().stats.instructions);
@@ -31,7 +33,7 @@ TEST(Harness, RunsAreDeterministic) {
 
 TEST(Harness, ResultCarriesMachineMetadata) {
   const kernels::Kernel* kernel = kernels::find_kernel("matmul");
-  const auto result = run_experiment(*kernel, MachineKind::kZolcFull);
+  const auto result = compile_and_run(*kernel, MachineKind::kZolcFull);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().kernel, "matmul");
   EXPECT_EQ(result.value().machine, MachineKind::kZolcFull);
@@ -42,7 +44,7 @@ TEST(Harness, ResultCarriesMachineMetadata) {
 
 TEST(Harness, NonZolcMachinesReportNoZolcActivity) {
   const kernels::Kernel* kernel = kernels::find_kernel("dotprod");
-  const auto result = run_experiment(*kernel, MachineKind::kXrDefault);
+  const auto result = compile_and_run(*kernel, MachineKind::kXrDefault);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().stats.zolc_fetch_events, 0u);
   EXPECT_EQ(result.value().init_instructions, 0u);
@@ -55,16 +57,15 @@ TEST(Harness, PipelineConfigIsHonored) {
   // (On XRdefault the back-edge depends on the addi directly before it, and
   // the interlock stall cancels the early-resolution gain.)
   const kernels::Kernel* kernel = kernels::find_kernel("crc32");
-  cpu::PipelineConfig early;
-  early.branch_resolve = cpu::BranchResolveStage::kDecode;
-  const auto ex = run_experiment(*kernel, MachineKind::kXrHrdwil);
-  const auto id = run_experiment(*kernel, MachineKind::kXrHrdwil, {}, early);
+  flow::RunPlan early;
+  early.config.branch_resolve = cpu::BranchResolveStage::kDecode;
+  const auto ex = compile_and_run(*kernel, MachineKind::kXrHrdwil);
+  const auto id = compile_and_run(*kernel, MachineKind::kXrHrdwil, early);
   ASSERT_TRUE(ex.ok() && id.ok());
   EXPECT_LT(id.value().stats.cycles, ex.value().stats.cycles);
 
-  const auto def_ex = run_experiment(*kernel, MachineKind::kXrDefault);
-  const auto def_id =
-      run_experiment(*kernel, MachineKind::kXrDefault, {}, early);
+  const auto def_ex = compile_and_run(*kernel, MachineKind::kXrDefault);
+  const auto def_id = compile_and_run(*kernel, MachineKind::kXrDefault, early);
   ASSERT_TRUE(def_ex.ok() && def_id.ok());
   // On XRdefault the back-edge depends on the addi directly before it, so
   // decode resolution pays an interlock stall every iteration (taken or
@@ -75,8 +76,9 @@ TEST(Harness, PipelineConfigIsHonored) {
 
 TEST(Harness, CycleLimitSurfacesAsError) {
   const kernels::Kernel* kernel = kernels::find_kernel("me_fsbm");
-  const auto result =
-      run_experiment(*kernel, MachineKind::kXrDefault, {}, {}, 100);
+  flow::RunPlan plan;
+  plan.max_cycles = 100;
+  const auto result = compile_and_run(*kernel, MachineKind::kXrDefault, plan);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kSimulation);
   EXPECT_NE(result.error().to_string().find("simulation failed"),

@@ -7,12 +7,13 @@
 #include <limits>
 
 #include "harness/experiment.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim::kernels {
 namespace {
 
 using codegen::MachineKind;
-using harness::run_experiment;
+using test::compile_and_run;
 
 TEST(Lcg, RangeStaysInBoundsAndSurvivesFullDomainSpans) {
   Lcg lcg(0xC0FFEE01);
@@ -59,7 +60,7 @@ class KernelMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(KernelMatrix, LowersRunsAndVerifies) {
   const auto& [kernel, machine] = GetParam();
-  const auto result = run_experiment(*kernel, machine);
+  const auto result = compile_and_run(*kernel, machine);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_GT(result.value().stats.cycles, 0u);
   EXPECT_GT(result.value().stats.instructions, 0u);
@@ -92,32 +93,32 @@ class KernelOrdering : public ::testing::TestWithParam<const Kernel*> {};
 
 TEST_P(KernelOrdering, MachinesOrderAsThePaperReports) {
   const Kernel& kernel = *GetParam();
-  const auto base = run_experiment(kernel, MachineKind::kXrDefault);
+  const auto base = compile_and_run(kernel, MachineKind::kXrDefault);
   ASSERT_TRUE(base.ok()) << base.error().to_string();
   const std::uint64_t baseline = base.value().stats.cycles;
 
   // XRhrdwil never loses (it gains only where an index is a pure counter,
   // since the base ISA already has fused compare-and-branch).
-  const auto hrdwil = run_experiment(kernel, MachineKind::kXrHrdwil);
+  const auto hrdwil = compile_and_run(kernel, MachineKind::kXrHrdwil);
   ASSERT_TRUE(hrdwil.ok());
   EXPECT_LE(hrdwil.value().stats.cycles, baseline);
 
   // uZOLC always accelerates the hottest innermost loop.
-  const auto micro = run_experiment(kernel, MachineKind::kUZolc);
+  const auto micro = compile_and_run(kernel, MachineKind::kUZolc);
   ASSERT_TRUE(micro.ok());
   EXPECT_LT(micro.value().stats.cycles, baseline);
 
   // ZOLClite may degrade to near-baseline on break-dominated kernels (the
   // multi-exit loop and its descendants fall back to software); allow the
   // one-time init overhead but nothing more.
-  const auto lite = run_experiment(kernel, MachineKind::kZolcLite);
+  const auto lite = compile_and_run(kernel, MachineKind::kZolcLite);
   ASSERT_TRUE(lite.ok());
   EXPECT_LE(lite.value().stats.cycles,
             baseline + lite.value().init_instructions + 8);
 
   // ZOLCfull handles everything in hardware: strictly better than the
   // baseline, and never slower than lite.
-  const auto full = run_experiment(kernel, MachineKind::kZolcFull);
+  const auto full = compile_and_run(kernel, MachineKind::kZolcFull);
   ASSERT_TRUE(full.ok());
   EXPECT_LT(full.value().stats.cycles, baseline);
   EXPECT_LE(full.value().stats.cycles, lite.value().stats.cycles);
@@ -147,7 +148,7 @@ TEST(KernelScaling, LargerProblemsStillVerify) {
     ASSERT_NE(kernel, nullptr);
     for (const MachineKind machine :
          {MachineKind::kXrDefault, MachineKind::kZolcLite}) {
-      const auto run = run_experiment(*kernel, machine, env);
+      const auto run = compile_and_run(*kernel, machine, {}, env);
       ASSERT_TRUE(run.ok()) << name << ": " << run.error().to_string();
     }
   }
@@ -160,7 +161,8 @@ TEST(KernelSeeds, DifferentSeedsStillVerify) {
     for (const char* name : {"vecmax", "me_tss", "iir_biquad"}) {
       const Kernel* kernel = find_kernel(name);
       ASSERT_NE(kernel, nullptr);
-      const auto run = run_experiment(*kernel, MachineKind::kZolcFull, env);
+      const auto run =
+          compile_and_run(*kernel, MachineKind::kZolcFull, {}, env);
       ASSERT_TRUE(run.ok()) << name << " seed=" << seed << ": "
                             << run.error().to_string();
     }
@@ -170,12 +172,12 @@ TEST(KernelSeeds, DifferentSeedsStillVerify) {
 TEST(KernelZolc, MeTssExercisesExitRecordsOnFull) {
   const Kernel* kernel = find_kernel("me_tss");
   ASSERT_NE(kernel, nullptr);
-  const auto full = run_experiment(*kernel, MachineKind::kZolcFull);
+  const auto full = compile_and_run(*kernel, MachineKind::kZolcFull);
   ASSERT_TRUE(full.ok()) << full.error().to_string();
   EXPECT_GT(full.value().zolc_stats.exit_matches, 0u)
       << "the planted perfect match should take the candidate-loop exit";
 
-  const auto lite = run_experiment(*kernel, MachineKind::kZolcLite);
+  const auto lite = compile_and_run(*kernel, MachineKind::kZolcLite);
   ASSERT_TRUE(lite.ok()) << lite.error().to_string();
   EXPECT_EQ(lite.value().zolc_stats.exit_matches, 0u);
   // Lite demotes the multi-exit candidate loop, so full is at least as fast.
@@ -185,7 +187,7 @@ TEST(KernelZolc, MeTssExercisesExitRecordsOnFull) {
 TEST(KernelZolc, PerfectNestsCascade) {
   for (const char* name : {"matmul", "conv2d", "me_fsbm"}) {
     const Kernel* kernel = find_kernel(name);
-    const auto run = run_experiment(*kernel, MachineKind::kZolcLite);
+    const auto run = compile_and_run(*kernel, MachineKind::kZolcLite);
     ASSERT_TRUE(run.ok()) << run.error().to_string();
     EXPECT_GT(run.value().zolc_stats.cascade_chains, 0u) << name;
   }
@@ -193,7 +195,7 @@ TEST(KernelZolc, PerfectNestsCascade) {
 
 TEST(KernelZolc, InitOverheadIsSmallFractionOfCycles) {
   for (const auto& kernel : kernel_registry()) {
-    const auto run = run_experiment(*kernel, MachineKind::kZolcLite);
+    const auto run = compile_and_run(*kernel, MachineKind::kZolcLite);
     ASSERT_TRUE(run.ok()) << run.error().to_string();
     const double frac = static_cast<double>(run.value().init_instructions) /
                         static_cast<double>(run.value().stats.cycles);

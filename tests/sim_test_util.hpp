@@ -1,14 +1,19 @@
 // Shared helpers for simulator tests: program loading, 32-bit immediate
-// materialization, and one-call ISS / pipeline runs.
+// materialization, one-call ISS / pipeline runs, and one-shot kernel
+// compile + run.
 #ifndef ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 #define ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
+#include "flow/compiled_unit.hpp"
+#include "flow/run.hpp"
 #include "isa/build.hpp"
 #include "isa/encoding.hpp"
 #include "mem/memory.hpp"
@@ -48,7 +53,7 @@ struct RunResult {
 /// Runs `program` (already terminated by halt) on a fresh pipeline.
 inline RunResult run_pipeline(std::span<const isa::Instruction> program,
                               cpu::PipelineConfig config = {},
-                              cpu::LoopAccelerator* accel = nullptr,
+                              zolc::ZolcController* accel = nullptr,
                               std::uint32_t base = 0x1000,
                               std::uint64_t max_cycles = 2'000'000) {
   mem::Memory memory;
@@ -66,7 +71,7 @@ struct IssResult {
 };
 
 inline IssResult run_iss(std::span<const isa::Instruction> program,
-                         cpu::LoopAccelerator* accel = nullptr,
+                         zolc::ZolcController* accel = nullptr,
                          std::uint32_t base = 0x1000,
                          std::uint64_t max_steps = 2'000'000) {
   mem::Memory memory;
@@ -76,6 +81,23 @@ inline IssResult run_iss(std::span<const isa::Instruction> program,
   iss.set_pc(base);
   iss.run(max_steps);
   return IssResult{iss.stats(), iss.regs()};
+}
+
+/// Compiles `kernel` for `machine` (with `env` and `geometry`) and runs the
+/// unit once under `plan`: flow::CompiledUnit::compile + flow::run for tests
+/// that never reuse the unit.
+inline Result<harness::ExperimentResult> compile_and_run(
+    const kernels::Kernel& kernel, codegen::MachineKind machine,
+    const flow::RunPlan& plan = {}, const kernels::KernelEnv& env = {},
+    const zolc::ZolcGeometry& geometry = {}) {
+  flow::CompileSpec spec;
+  spec.kernel = std::string(kernel.name());
+  spec.machine = machine;
+  spec.geometry = geometry;
+  spec.env = env;
+  auto unit = flow::CompiledUnit::compile(kernel, spec);
+  if (!unit.ok()) return std::move(unit).error();
+  return flow::run(unit.value(), plan);
 }
 
 }  // namespace zolcsim::test

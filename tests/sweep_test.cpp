@@ -1,10 +1,11 @@
-// Sweep-engine behaviour: thread-count invariance, parity with the serial
-// experiment runner, dimension resolution, aggregates and emitters. (The
+// Sweep-engine behaviour: thread-count invariance, parity with serial
+// one-shot compile + run, dimension resolution, aggregates and emitters. (The
 // predecoded-image vs memory-fetch equivalence lives in trace_cosim_test.)
 #include <gtest/gtest.h>
 
 #include "flow/cache.hpp"
 #include "harness/sweep.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim::harness {
 namespace {
@@ -47,9 +48,9 @@ TEST(Sweep, ReportIsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Sweep, EngineMatchesSerialRunExperiment) {
-  // The fig2 grid through the engine must reproduce the values the
-  // pre-engine benchmarks computed with direct run_experiment calls.
+TEST(Sweep, EngineMatchesSerialCompileAndRun) {
+  // The fig2 grid through the engine must reproduce the values of direct
+  // one-shot compile + run calls.
   SweepSpec spec = small_spec();
   spec.threads = 4;
   const auto report = run_sweep(spec);
@@ -61,7 +62,7 @@ TEST(Sweep, EngineMatchesSerialRunExperiment) {
     ASSERT_NE(kernel, nullptr);
     for (std::size_t m = 0; m < report.value().machines.size(); ++m) {
       const auto direct =
-          run_experiment(*kernel, report.value().machines[m]);
+          test::compile_and_run(*kernel, report.value().machines[m]);
       ASSERT_TRUE(direct.ok()) << direct.error().to_string();
       const ExperimentResult& cell = report.value().at(k, m);
       EXPECT_EQ(direct.value().stats.cycles, cell.stats.cycles);

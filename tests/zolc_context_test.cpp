@@ -298,7 +298,7 @@ TEST(ControllerContext, TryRestoreRejectsBadSnapshotLoopCount) {
   auto restored = controller.try_restore(snapshot);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.error().code, ErrorCode::kBadContext);
-  // The untyped virtual surface turns the same mismatch into a SimError.
+  // restore() turns the same mismatch into a SimError.
   EXPECT_THROW(controller.restore(snapshot), cpu::SimError);
   // A matching snapshot restores cleanly.
   EXPECT_TRUE(controller.try_restore(controller.snapshot()).ok());

@@ -187,8 +187,38 @@ TEST_F(MicroTest, InactiveNeverTriggers) {
   program(0, 3, 1, 7, pc_of(10), pc_of(12));
   EXPECT_FALSE(c.will_trigger(pc_of(12)));
   c.activate(0, kBase);
+  const cpu::AccelSnapshot armed = c.snapshot();
   c.deactivate();
   EXPECT_FALSE(c.will_trigger(pc_of(12)));
+  // Restoring an active snapshot re-latches the end PC.
+  c.restore(armed);
+  EXPECT_TRUE(c.will_trigger(pc_of(12)));
+}
+
+TEST_F(MicroTest, ExportsOneReArmingTask) {
+  program(2, 11, 3, 7, pc_of(10), pc_of(12), LoopCond::kLe);
+  c.activate(0, kBase);
+  const cpu::NestProgram& np = c.nest_program();
+  EXPECT_TRUE(np.micro);
+  ASSERT_EQ(np.tasks.size(), 1u);
+  ASSERT_EQ(np.loops.size(), 1u);
+  const cpu::NestTaskDesc& t = np.tasks[0];
+  EXPECT_EQ(t.start_pc, pc_of(10));
+  EXPECT_EQ(t.end_pc, pc_of(12));
+  EXPECT_EQ(t.loop, 0u);
+  EXPECT_EQ(t.cont, 0u);  // continue re-enters the same task
+  EXPECT_TRUE(t.rearm);   // done falls through with the controller armed
+  EXPECT_FALSE(t.is_last);
+  EXPECT_TRUE(t.valid);
+  EXPECT_TRUE(t.walk_safe);
+  const cpu::NestLoopDesc& l = np.loops[0];
+  EXPECT_TRUE(l.valid);
+  EXPECT_EQ(l.index_rf, 7u);
+  EXPECT_EQ(l.cond, cpu::NestCond::kLe);
+  EXPECT_EQ(l.step, 3);
+  EXPECT_EQ(l.initial, 2);
+  EXPECT_EQ(l.final, 11);
+  EXPECT_EQ(l.trips, 4u);  // 2, 5, 8, 11
 }
 
 TEST_F(MicroTest, NegativeStepCountsDown) {

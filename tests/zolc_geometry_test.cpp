@@ -6,6 +6,7 @@
 #include "codegen/lower.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
+#include "sim_test_util.hpp"
 #include "zolc/area_model.hpp"
 #include "zolc/controller.hpp"
 
@@ -13,7 +14,7 @@ namespace zolcsim {
 namespace {
 
 using codegen::MachineKind;
-using harness::run_experiment;
+using test::compile_and_run;
 using zolc::ZolcController;
 using zolc::ZolcGeometry;
 using zolc::ZolcVariant;
@@ -140,15 +141,15 @@ TEST(GeometryLowering, DeepNestFullyHardwareManagedUnderExtendedGeometry) {
   const auto* kernel = kernels::find_kernel("deepnest10");
   ASSERT_NE(kernel, nullptr);
   const auto result =
-      run_experiment(*kernel, MachineKind::kZolcLite, {}, {}, 200'000'000,
-                     ZolcGeometry{32, 12, 0, 0});
+      compile_and_run(*kernel, MachineKind::kZolcLite, {}, {},
+                      ZolcGeometry{32, 12, 0, 0});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().hw_loops, 10u);
   EXPECT_EQ(result.value().sw_loops, 0u);
   EXPECT_GT(result.value().zolc_stats.continue_events, 0u);
 
   // At the paper geometry the same kernel still runs, demoting two levels.
-  const auto paper = run_experiment(*kernel, MachineKind::kZolcLite);
+  const auto paper = compile_and_run(*kernel, MachineKind::kZolcLite);
   ASSERT_TRUE(paper.ok()) << paper.error().to_string();
   EXPECT_EQ(paper.value().hw_loops, 8u);
   EXPECT_EQ(paper.value().sw_loops, 2u);
@@ -158,8 +159,8 @@ TEST(GeometryLowering, DeepNestFullyHardwareManagedUnderExtendedGeometry) {
 TEST(GeometryLowering, TinyGeometryDemotesGracefully) {
   const auto* kernel = kernels::find_kernel("tiled_mm");
   ASSERT_NE(kernel, nullptr);
-  const auto result = run_experiment(*kernel, MachineKind::kZolcLite, {}, {},
-                                     200'000'000, ZolcGeometry{8, 2, 0, 0});
+  const auto result = compile_and_run(*kernel, MachineKind::kZolcLite, {}, {},
+                                      ZolcGeometry{8, 2, 0, 0});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().hw_loops, 2u);
   EXPECT_EQ(result.value().sw_loops, 4u);
@@ -168,7 +169,7 @@ TEST(GeometryLowering, TinyGeometryDemotesGracefully) {
 TEST(GeometryLowering, ExtendedKernelsVerifyOnEveryMachine) {
   for (const auto& kernel : kernels::extended_kernel_registry()) {
     for (const MachineKind machine : codegen::kAllMachines) {
-      const auto result = run_experiment(*kernel, machine);
+      const auto result = compile_and_run(*kernel, machine);
       ASSERT_TRUE(result.ok()) << result.error().to_string();
       EXPECT_GT(result.value().stats.cycles, 0u);
     }
@@ -183,10 +184,10 @@ TEST(GeometryLowering, WideRecordGeometryRunsZolcFullEndToEnd) {
   ASSERT_NE(kernel, nullptr);
   const ZolcGeometry wide{32, 16, 4, 4};
   ASSERT_EQ(wide.record_words(), 2u);
-  const auto result = run_experiment(*kernel, MachineKind::kZolcFull, {}, {},
-                                     200'000'000, wide);
+  const auto result =
+      compile_and_run(*kernel, MachineKind::kZolcFull, {}, {}, wide);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const auto paper = run_experiment(*kernel, MachineKind::kZolcFull);
+  const auto paper = compile_and_run(*kernel, MachineKind::kZolcFull);
   ASSERT_TRUE(paper.ok()) << paper.error().to_string();
   // Identical loop structure, but each exit record costs one extra init
   // write (the hi word).
@@ -221,9 +222,8 @@ TEST(GeometryLowering, InvalidGeometryIsRejected) {
       codegen::lower(kernel->build(env), MachineKind::kZolcLite, env.code_base,
                      ZolcGeometry{32, 64, 4, 4});
   EXPECT_FALSE(lowered.ok());
-  const auto experiment = run_experiment(*kernel, MachineKind::kZolcLite, {},
-                                         {}, 200'000'000,
-                                         ZolcGeometry{32, 64, 4, 4});
+  const auto experiment = compile_and_run(*kernel, MachineKind::kZolcLite, {},
+                                          {}, ZolcGeometry{32, 64, 4, 4});
   EXPECT_FALSE(experiment.ok());
 }
 
