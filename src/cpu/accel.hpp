@@ -10,8 +10,10 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "isa/opcodes.hpp"
 
 namespace zolcsim::zolc {
@@ -20,54 +22,56 @@ class ZolcController;  // zolc/controller.hpp
 
 namespace zolcsim::cpu {
 
+/// Capacity of the per-loop snapshot state. Matches the largest loop table
+/// any ZolcGeometry may declare (zolc::kMaxGeometryLoops).
+inline constexpr unsigned kMaxAccelLoops = 32;
+
 /// An index write-back destined for the integer register file through the
-/// ZOLC's dedicated write port.
+/// ZOLC's dedicated write port. No default member initializers: RfWriteList
+/// keeps its unused capacity uninitialized.
 struct RfWrite {
-  std::uint8_t reg = 0;
-  std::int32_t value = 0;
+  std::uint8_t reg;
+  std::int32_t value;
 
   friend bool operator==(const RfWrite&, const RfWrite&) = default;
 };
 
-/// Small-vector of RfWrites. Events sit on both simulators' hot paths and
-/// almost always carry one or two writes (a continue event's index update,
-/// a done event's reinit), so the common case stays inline and
-/// allocation-free; deep cascade reinits spill to the heap.
+/// Fixed-capacity list of RfWrites, sized by the geometry maximum: a
+/// fetch event's done-cascade writes at most one index per loop, and a
+/// taken-control event reinitializes at most every loop twice (its exit
+/// record's mask, then its entry record's). Trivially copyable and never
+/// allocates, so events are filled in place on the simulators' hot paths;
+/// entries at index >= size() are uninitialized and never read.
 class RfWriteList {
  public:
+  static constexpr std::size_t kCapacity = 2 * kMaxAccelLoops;
+
+  RfWriteList() noexcept {}
+
+  void clear() noexcept { n_ = 0; }
   void push_back(const RfWrite& w) {
-    if (spill_.empty() && n_ < kInlineCap) {
-      inline_[n_++] = w;
-      return;
-    }
-    if (spill_.empty()) {
-      spill_.assign(inline_.begin(), inline_.begin() + n_);
-      n_ = 0;  // invariant: a non-empty spill owns all elements
-    }
-    spill_.push_back(w);
+    ZS_ASSERT(n_ < kCapacity);
+    items_[n_++] = w;
   }
 
-  [[nodiscard]] const RfWrite* begin() const noexcept {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-  [[nodiscard]] const RfWrite* end() const noexcept { return begin() + size(); }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return spill_.empty() ? n_ : spill_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const RfWrite* begin() const noexcept { return items_.data(); }
+  [[nodiscard]] const RfWrite* end() const noexcept { return begin() + n_; }
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+  [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
   [[nodiscard]] const RfWrite& operator[](std::size_t i) const noexcept {
-    return begin()[i];
+    return items_[i];
   }
 
  private:
-  static constexpr std::size_t kInlineCap = 4;
-  std::array<RfWrite, kInlineCap> inline_{};
   std::uint8_t n_ = 0;
-  std::vector<RfWrite> spill_;
+  std::array<RfWrite, kCapacity> items_;
 };
 
-/// Result of a fetch-time or resolution-time ZOLC event.
+/// Result of a fetch-time or resolution-time ZOLC event. The engines keep
+/// one per in-flight event and the controller overwrites it in place.
 struct AccelEvent {
+  AccelEvent() noexcept {}
+
   /// New fetch target (task switching); nullopt = fall through.
   std::optional<std::uint32_t> redirect;
   /// Index write-backs. The pipeline applies them when the triggering
@@ -75,9 +79,8 @@ struct AccelEvent {
   RfWriteList rf_writes;
 };
 
-/// Capacity of the per-loop snapshot state. Matches the largest loop table
-/// any ZolcGeometry may declare (zolc::kMaxGeometryLoops).
-inline constexpr unsigned kMaxAccelLoops = 32;
+static_assert(std::is_trivially_copyable_v<AccelEvent>,
+              "events are filled in place and copied as plain bytes");
 
 /// Architectural controller state that changes in active mode; saved before
 /// each speculative fetch-time event and restored on wrong-path flushes.

@@ -45,7 +45,7 @@ class Iss {
   }
 
   /// Attaches a predecoded code image (non-owning; must outlive the ISS)
-  /// and builds one execute record per image word. Fetches inside the image
+  /// and builds one OpRecord per image word. Fetches inside the image
   /// dispatch from those records; fetches outside it decode the word from
   /// memory into the same record form on the fly.
   void set_code_image(isa::CodeImage image);
@@ -93,43 +93,30 @@ class Iss {
   std::uint64_t run_slice(std::uint64_t max_steps);
 
  private:
-  /// What the dispatch loop executes for one code word (DESIGN.md section
-  /// 7.4): the decoded operand fields with the branch or jump target
-  /// already resolved against the word's PC. The opcode is the dispatch
-  /// kind: it is dense and already distinguishes register from immediate
-  /// forms, so one switch on it selects the whole semantics.
-  struct ExecOp {
-    isa::Opcode op = isa::Opcode::kInvalid;
-    std::uint8_t rd = 0;
-    std::uint8_t rs = 0;
-    std::uint8_t rt = 0;
-    std::uint8_t aux = 0;  ///< shift amount, or the ZOLC table index
-    bool control = false;  ///< branch or jump: may take control
-    std::int32_t imm = 0;
-    std::uint32_t target = 0;  ///< taken-branch / jump destination
-  };
+  /// dispatch()'s engine over the register file and memory (iss.cpp).
+  struct Core;
 
-  static ExecOp predecode(const isa::Instruction& instr, std::uint32_t pc);
   /// Decodes the word at `pc` from memory (a fetch outside the image) into
   /// off_image_instr_ / off_image_op_ and returns the latter.
-  const ExecOp& decode_off_image(std::uint32_t pc);
+  const OpRecord& decode_off_image(std::uint32_t pc);
 
   /// Executes the instruction at pc_. Precondition: !halted_.
   void execute();
   /// execute() for a PC the accelerator triggers on.
-  void execute_fetch_event(const ExecOp& op, const isa::Instruction& instr,
+  void execute_fetch_event(const OpRecord& op, const isa::Instruction& instr,
                            std::uint32_t pc);
   /// Runs `op`'s semantics; returns true iff it takes control to `target`.
-  bool dispatch(const ExecOp& op, std::uint32_t pc, std::uint32_t& target);
+  bool execute_op(const OpRecord& op, std::uint32_t pc, std::uint32_t& target);
   /// Retires a taken control transfer from `pc` to `target`.
   void take_control(std::uint32_t pc, std::uint32_t target);
 
   mem::Memory& mem_;
   RegFile regs_;
   isa::CodeImage image_;
-  std::vector<ExecOp> image_ops_;  ///< parallel to image_
+  std::vector<OpRecord> image_ops_;  ///< parallel to image_
+  std::uint32_t image_words_ = 0;    ///< image_ops_.size()
   isa::Instruction off_image_instr_;  ///< last word decoded off the image
-  ExecOp off_image_op_;
+  OpRecord off_image_op_;
   zolc::ZolcController* accel_ = nullptr;
   RetireHook retire_hook_;
   LoopSummarizer summarizer_;
@@ -139,6 +126,7 @@ class Iss {
   bool fetch_redirected_ = false;  ///< last step applied a fetch-event redirect
   AccelSnapshot pre_fetch_;  ///< accelerator state before a fetch event
   IssStats stats_;
+  AccelEvent event_;  ///< the current fetch or resolution event, in place
 };
 
 }  // namespace zolcsim::cpu

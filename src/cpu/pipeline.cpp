@@ -1,54 +1,110 @@
 #include "cpu/pipeline.hpp"
 
-#include <utility>
+#include <bit>
 
 #include "common/strings.hpp"
+#include "isa/encoding.hpp"
 #include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 
 namespace {
 
-using isa::Format;
-using isa::Instruction;
 using isa::Opcode;
 
+/// A register number no operand field can hold: the bypass source of a
+/// producer that cannot forward.
+constexpr std::uint8_t kNoReg = 0xFF;
+
 }  // namespace
+
+/// Operands come from the register file, already updated by this cycle's
+/// WB, plus the one producer WB has not reached yet: the old EX/MEM
+/// latch's (a load's value does not exist before MEM, hence the load-use
+/// interlock). That equals the classic ID-read-then-forward network: every
+/// write landing between ID and EX is a WB the MEM/WB bypass would have
+/// supplied.
+struct Pipeline::Core {
+  Pipeline& pipe;
+  const OpRecord& op;
+  std::uint32_t pc;
+  std::uint8_t bypass;  ///< register the old EX/MEM latch supplies
+  std::int32_t bypass_value;
+  std::int32_t& result;
+  std::int32_t& store_val;
+  std::uint32_t target;
+  bool taken = false;
+
+  [[nodiscard]] std::int32_t read(std::uint8_t reg) const {
+    return reg == bypass ? bypass_value : pipe.regs_.read_raw(reg);
+  }
+  [[nodiscard]] std::int32_t rs() const { return read(op.rs); }
+  [[nodiscard]] std::int32_t rt() const { return read(op.rt); }
+  [[nodiscard]] std::int32_t rd() const { return read(op.rd); }
+  void write(std::uint8_t /*reg: the record's dest*/, std::int32_t value) {
+    result = value;
+  }
+  template <Opcode>
+  void load(std::uint8_t /*reg*/, std::uint32_t addr) {
+    result = static_cast<std::int32_t>(addr);
+  }
+  template <Opcode>
+  void store(std::uint32_t addr, std::int32_t value) {
+    result = static_cast<std::int32_t>(addr);
+    store_val = value;
+  }
+  void branch(bool t) { taken = t; }
+  void jump(std::uint32_t t) {
+    taken = true;
+    target = t;
+  }
+  void zolc() {
+    if (pipe.accel_ == nullptr) zolc_without_accelerator(pc);
+    pipe.accel_->execute(op.op, op.aux, static_cast<std::uint32_t>(rs()));
+  }
+  void halt() {}  // takes effect when it retires
+};
 
 Pipeline::Pipeline(mem::Memory& memory, PipelineConfig config)
     : mem_(memory), config_(config) {}
 
 void Pipeline::set_code_image(isa::CodeImage image) {
   image_ = image;
-  image_hazards_.clear();
-  image_hazards_.reserve(image.size_words);
-  for (std::size_t i = 0; i < image.size_words; ++i) {
-    image_hazards_.push_back(isa::hazard_info(image.code[i]));
-  }
+  image_ops_ = predecode_image(image);
+  image_words_ = static_cast<std::uint32_t>(image_ops_.size());
 }
 
-void Pipeline::cycle() {
-  if (halted_) return;
+const Pipeline::OffImageWord& Pipeline::fetch_off_image(std::uint32_t pc) {
+  OffImageWord& w = off_image_[off_image_next_];
+  off_image_next_ = (off_image_next_ + 1) % kOffImageRing;
+  w.instr = isa::decode(mem_.fetch32(pc));
+  w.op = predecode(w.instr, pc);
+  return w;
+}
+
+[[gnu::always_inline]] inline void Pipeline::step() {
   IfId& if_id = latches_.if_id;
   IdEx& id_ex = latches_.id_ex;
   ExMem& ex_mem = latches_.ex_mem;
   MemWb& mem_wb = latches_.mem_wb;
+  const bool resolve_in_ex =
+      config_.branch_resolve == BranchResolveStage::kExecute;
 
   // Previous-cycle values that stages still read after an older stage has
-  // overwritten their latch. A destination of 0 means "no producer".
-  const std::uint8_t old_exm_dest = ex_mem.valid ? ex_mem.dest : 0;
-  const bool old_exm_is_load = ex_mem.valid && ex_mem.is_load;
+  // overwritten their latch.
+  const OpRecord& old_exm = *ex_mem.op;
   const std::int32_t old_exm_alu = ex_mem.alu;
-  const std::uint8_t old_mwb_dest = mem_wb.valid ? mem_wb.dest : 0;
-  const std::int32_t old_mwb_value = mem_wb.value;
-  const bool old_ifid_valid = if_id.valid;
-  const std::int8_t old_ifid_slot = if_id.valid ? if_id.fetch_slot : -1;
-  const std::int8_t old_idex_slot = id_ex.valid ? id_ex.fetch_slot : -1;
+  // The register the old EX/MEM latch forwards: none for a load (its value
+  // does not exist before MEM), for no destination, or without forwarding.
+  const std::uint8_t exm_bypass =
+      config_.forwarding && !old_exm.load && old_exm.dest != 0 ? old_exm.dest
+                                                               : kNoReg;
+  const bool old_ifid_live = if_id.op != &kBubble;
+  const std::int8_t old_ifid_slot = if_id.fetch_slot;
+  const std::int8_t old_idex_slot = id_ex.fetch_slot;
   // Unresolved control flow ahead of IF, for the kGate policy.
   const bool control_in_flight =
-      (if_id.valid && if_id.hz.is_control) ||
-      (config_.branch_resolve == BranchResolveStage::kExecute &&
-       id_ex.valid && id_ex.hz.is_control);
+      if_id.op->control || (resolve_in_ex && id_ex.op->control);
 
   // Redirect bookkeeping for this cycle.
   bool redirect = false;
@@ -59,169 +115,81 @@ void Pipeline::cycle() {
   const AccelSnapshot* rollback_to = nullptr;
 
   // ---------------- WB ----------------
-  if (mem_wb.valid) {
+  if (mem_wb.op != &kBubble) {
+    const OpRecord& op = *mem_wb.op;
     // Commit-time illegal-instruction trap: wrong-path garbage never gets
     // here (squashed at resolution), correct-path garbage traps precisely.
-    if (!mem_wb.instr.valid()) {
+    if (op.op == Opcode::kInvalid) {
       throw SimError("illegal instruction at " + hex32(mem_wb.pc));
     }
-    if (mem_wb.dest != 0) regs_.write(mem_wb.dest, mem_wb.value);
+    regs_.write_raw(op.dest, mem_wb.value);
     ++stats_.instructions;
-    if (retire_hook_) retire_hook_(mem_wb.pc, mem_wb.instr);
-    if (mem_wb.is_zolc) ++stats_.zolc_init_instructions;
-    if (mem_wb.instr.op == Opcode::kHalt) halted_ = true;
+    if (retire_hook_) retire_hook_(mem_wb.pc, *mem_wb.instr);
+    if (op.zolc) ++stats_.zolc_init_instructions;
+    if (op.op == Opcode::kHalt) halted_ = true;
   }
 
   // ---------------- MEM ----------------
-  mem_wb.valid = ex_mem.valid;
-  if (ex_mem.valid) {
-    mem_wb.pc = ex_mem.pc;
+  {
+    const OpRecord& op = *ex_mem.op;
+    mem_wb.op = ex_mem.op;
     mem_wb.instr = ex_mem.instr;
-    mem_wb.dest = ex_mem.dest;
-    mem_wb.is_zolc = ex_mem.is_zolc;
+    mem_wb.pc = ex_mem.pc;
     mem_wb.value = ex_mem.alu;
-    if (ex_mem.is_load) {
-      mem_wb.value = mem_load(ex_mem.instr.op, mem_,
-                              static_cast<std::uint32_t>(ex_mem.alu));
+    const auto addr = static_cast<std::uint32_t>(ex_mem.alu);
+    if (op.load) {
+      mem_wb.value = mem_load(op.op, mem_, addr);
       ++stats_.loads;
-    } else if (ex_mem.is_store) {
-      mem_store(ex_mem.instr.op, mem_, static_cast<std::uint32_t>(ex_mem.alu),
-                ex_mem.store_val);
+    } else if (op.store) {
+      mem_store(op.op, mem_, addr, ex_mem.store_val);
       ++stats_.stores;
     }
   }
 
   // ---------------- EX ----------------
-  // An invalid instruction passes through as an inert bubble (its metadata
-  // has no destination and no flags); it traps at WB.
-  ex_mem.valid = id_ex.valid;
-  if (id_ex.valid) {
-    ex_mem.pc = id_ex.pc;
+  // An invalid instruction passes through as an inert bubble (its record
+  // has no destination and no flags, and its fetch event, if any, is
+  // dropped); it traps at WB.
+  {
+    const OpRecord& op = *id_ex.op;
+    ex_mem.op = id_ex.op;
     ex_mem.instr = id_ex.instr;
-    ex_mem.dest = id_ex.hz.dest;
-    ex_mem.is_load = id_ex.hz.is_load;
-    ex_mem.is_store = id_ex.hz.is_store;
-    ex_mem.is_zolc = id_ex.hz.is_zolc;
-  }
-  if (id_ex.valid && id_ex.hz.info != nullptr) {
-    const Instruction& instr = id_ex.instr;
-    const isa::OpcodeInfo& info = *id_ex.hz.info;
-
-    // Youngest producer wins: the old EX/MEM latch first, then MEM/WB.
-    const auto forward = [&](std::uint8_t reg, std::int32_t id_value) {
-      if (!config_.forwarding || reg == 0) return id_value;
-      if (reg == old_exm_dest && !old_exm_is_load) return old_exm_alu;
-      if (reg == old_mwb_dest) return old_mwb_value;
-      return id_value;
-    };
-    const std::int32_t a = forward(instr.rs, id_ex.rs_val);
-    const std::int32_t rt_fwd = forward(instr.rt, id_ex.rt_val);
-    const std::int32_t acc = forward(instr.rd, id_ex.rd_val);
-
-    // Resolve control flow first (EX-resolution config); under kDecode it
-    // was already resolved in ID and the latch carries no live branch work.
-    bool taken = false;
-    std::uint32_t target = 0;
-    if (config_.branch_resolve == BranchResolveStage::kExecute) {
-      if (info.is_cond_branch) {
-        std::int32_t lhs = a;
-        if (instr.op == Opcode::kDbne) {
-          lhs = alu_eval(Opcode::kDbne, AluInputs{a, 0, 0, 0});
-        }
-        taken = branch_taken(instr.op, lhs, rt_fwd);
-        target = isa::branch_target(instr, id_ex.pc);
-      } else if (info.is_jump) {
-        taken = true;
-        target = (instr.op == Opcode::kJ || instr.op == Opcode::kJal)
-                     ? isa::jump_target(instr, id_ex.pc)
-                     : static_cast<std::uint32_t>(a);
-      }
-    }
-
-    // Commit this instruction's fetch-time ZOLC write-backs now that it is
-    // entering EX (non-speculative) -- unless it is itself a taken control
-    // transfer, in which case the fetch-time speculation was wrong-path.
-    if (id_ex.fetch_slot >= 0) {
-      const FetchInfo& fi = fetch_ring_[id_ex.fetch_slot];
-      if (taken) {
-        rollback_to = &fi.before;
+    ex_mem.pc = id_ex.pc;
+    if (op.op != Opcode::kInvalid) {
+      bool taken = false;
+      std::uint32_t target = 0;
+      if (!resolve_in_ex && op.control) {
+        // Resolved in ID, which also computed its result.
+        ex_mem.alu = id_ex.id_result;
       } else {
-        for (const RfWrite& w : fi.event.rf_writes) {
-          regs_.write(w.reg, w.value);
-        }
+        Core core{*this,       op,         id_ex.pc,         exm_bypass,
+                  old_exm_alu, ex_mem.alu, ex_mem.store_val, op.target};
+        dispatch(op, id_ex.pc, core);
+        taken = core.taken;
+        target = core.target;
       }
-    }
 
-    if (taken) {
-      redirect = true;
-      redirect_from_ex = true;
-      redirect_target = target;
-      resolved_pc = id_ex.pc;
-      ++stats_.taken_control;
-    }
-
-    switch (info.format) {
-      case Format::kR3:
-      case Format::kR3Acc:
-      case Format::kR2:
-      case Format::kR1:
-      case Format::kRShift: {
-        if (instr.op == Opcode::kJr) break;
-        if (instr.op == Opcode::kJalr) {
-          ex_mem.alu = static_cast<std::int32_t>(id_ex.pc + 4);
-          break;
-        }
-        AluInputs in;
-        in.a = a;
-        in.b = rt_fwd;
-        in.acc = acc;
-        in.shamt = instr.shamt;
-        ex_mem.alu = alu_eval(instr.op, in);
-        break;
-      }
-      case Format::kI:
-      case Format::kLui: {
-        AluInputs in;
-        in.a = a;
-        in.b = instr.imm;
-        ex_mem.alu = alu_eval(instr.op, in);
-        break;
-      }
-      case Format::kMem:
-        ex_mem.alu =
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
-                                      static_cast<std::uint32_t>(instr.imm));
-        ex_mem.store_val = rt_fwd;
-        break;
-      case Format::kBranchCmp:
-      case Format::kBranchZero:
-        if (instr.op == Opcode::kDbne) {
-          ex_mem.alu = alu_eval(Opcode::kDbne, AluInputs{a, 0, 0, 0});
-        }
-        break;
-      case Format::kJump:
-        if (instr.op == Opcode::kJal) {
-          ex_mem.alu = static_cast<std::int32_t>(id_ex.pc + 4);
-        }
-        break;
-      case Format::kZolcWrite:
-      case Format::kZolcNone: {
-        if (accel_ == nullptr) {
-          throw SimError("ZOLC instruction at " + hex32(id_ex.pc) +
-                         " with no loop accelerator attached");
-        }
-        if (instr.op == Opcode::kZolOn) {
-          accel_->activate(instr.zidx, static_cast<std::uint32_t>(a));
-        } else if (instr.op == Opcode::kZolOff) {
-          accel_->deactivate();
+      // Commit this instruction's fetch-time ZOLC write-backs now that it
+      // is in EX (non-speculative) -- unless it is itself a taken control
+      // transfer, in which case the fetch-time speculation was wrong-path.
+      if (id_ex.fetch_slot >= 0) {
+        const FetchInfo& fi = fetch_ring_[id_ex.fetch_slot];
+        if (taken) {
+          rollback_to = &fi.before;
         } else {
-          accel_->init_write(instr.op, instr.zidx,
-                             static_cast<std::uint32_t>(a));
+          for (const RfWrite& w : fi.event.rf_writes) {
+            regs_.write(w.reg, w.value);
+          }
         }
-        break;
       }
-      case Format::kNone:
-        break;
+
+      if (taken) {
+        redirect = true;
+        redirect_from_ex = true;
+        redirect_target = target;
+        resolved_pc = id_ex.pc;
+        ++stats_.taken_control;
+      }
     }
   }
 
@@ -233,90 +201,61 @@ void Pipeline::cycle() {
   // on as an inert bubble (its fetch event, if any, is dropped in EX) and
   // traps at WB if it ever retires.
   bool stall = false;
-  id_ex.valid = false;
-  if (if_id.valid && !redirect_from_ex) {
-    const Instruction& instr = if_id.instr;
-    const isa::HazardInfo& hz = if_id.hz;
-    const std::uint8_t ex_dest = ex_mem.valid ? ex_mem.dest : 0;
+  const OpRecord& id_op = *if_id.op;
+  if (id_op.src_mask != 0 && !redirect_from_ex) {
+    const OpRecord& ex = *ex_mem.op;
     if (config_.forwarding) {
       // Load-use interlock: producer load currently in EX.
-      if (ex_mem.is_load && hz.reads(ex_dest)) {
+      if (ex.load && id_op.reads(ex.dest)) {
         stall = true;
         ++stats_.load_use_stalls;
-      }
-      // ID-resolution interlocks: branch operands must be available in ID.
-      if (!stall && config_.branch_resolve == BranchResolveStage::kDecode &&
-          hz.is_control) {
-        const bool ex_hazard = hz.reads(ex_dest);
-        const bool mem_load_hazard = old_exm_is_load && hz.reads(old_exm_dest);
-        if (ex_hazard || mem_load_hazard) {
-          stall = true;
-          ++stats_.interlock_stalls;
-        }
-      }
-    } else {
-      // No forwarding: wait until every producer has written back.
-      if (hz.reads(ex_dest) || hz.reads(old_exm_dest)) {
+      } else if (!resolve_in_ex && id_op.control &&
+                 (id_op.reads(ex.dest) ||
+                  (old_exm.load && id_op.reads(old_exm.dest)))) {
+        // ID-resolution interlocks: branch operands must be available in
+        // ID.
         stall = true;
-        ++stats_.raw_stalls;
+        ++stats_.interlock_stalls;
       }
+    } else if (id_op.reads(ex.dest) || id_op.reads(old_exm.dest)) {
+      // No forwarding: wait until every producer has written back.
+      stall = true;
+      ++stats_.raw_stalls;
     }
-
-    if (!stall) {
-      // The register file was already updated by this cycle's WB (write-
-      // before-read). The only in-flight value visible to ID is the
-      // previous EX result.
-      const auto read = [&](std::uint8_t reg) {
-        if (config_.forwarding && reg != 0 && reg == old_exm_dest &&
-            !old_exm_is_load) {
-          return old_exm_alu;
-        }
-        return regs_.read(reg);
-      };
-      id_ex.valid = true;
-      id_ex.fetch_slot = if_id.fetch_slot;
-      id_ex.pc = if_id.pc;
-      id_ex.instr = instr;
-      id_ex.hz = hz;
-      id_ex.rs_val = read(instr.rs);
-      id_ex.rt_val = read(instr.rt);
-      id_ex.rd_val = read(instr.rd);
-
-      // Early (decode-stage) control resolution.
-      if (config_.branch_resolve == BranchResolveStage::kDecode &&
-          hz.is_control) {
-        bool taken = false;
-        std::uint32_t target = 0;
-        if (hz.info->is_cond_branch) {
-          std::int32_t lhs = id_ex.rs_val;
-          if (instr.op == Opcode::kDbne) {
-            lhs = alu_eval(Opcode::kDbne, AluInputs{id_ex.rs_val, 0, 0, 0});
-          }
-          taken = branch_taken(instr.op, lhs, id_ex.rt_val);
-          target = isa::branch_target(instr, id_ex.pc);
-        } else {
-          taken = true;
-          target = (instr.op == Opcode::kJ || instr.op == Opcode::kJal)
-                       ? isa::jump_target(instr, id_ex.pc)
-                       : static_cast<std::uint32_t>(id_ex.rs_val);
-        }
-        if (taken) {
-          redirect = true;
-          redirect_target = target;
-          resolved_pc = id_ex.pc;
-          ++stats_.taken_control;
-          // This branch's own fetch-time event was fall-through speculation:
-          // cancel it (write-backs never applied) and remember the rollback.
-          if (id_ex.fetch_slot >= 0) {
-            if (rollback_to == nullptr) {
-              rollback_to = &fetch_ring_[id_ex.fetch_slot].before;
-            }
-            id_ex.fetch_slot = -1;
-          }
-        }
-      }
-    }
+  }
+  if (stall || redirect_from_ex || &id_op == &kBubble) {
     // On a stall IF/ID holds its contents.
+    id_ex.op = &kBubble;
+    id_ex.fetch_slot = -1;
+  } else {
+    id_ex.op = &id_op;
+    id_ex.instr = if_id.instr;
+    id_ex.pc = if_id.pc;
+    id_ex.fetch_slot = if_id.fetch_slot;
+
+    // Early (decode-stage) control resolution, on operands the register
+    // file already holds (WB wrote before ID reads) or the previous EX
+    // result supplies; the interlocks above cover every other producer.
+    if (!resolve_in_ex && id_op.control) {
+      std::int32_t unused_store = 0;
+      Core core{*this,       id_op,           id_ex.pc,    exm_bypass,
+                old_exm_alu, id_ex.id_result, unused_store, id_op.target};
+      dispatch(id_op, id_ex.pc, core);
+      if (core.taken) {
+        redirect = true;
+        redirect_target = core.target;
+        resolved_pc = id_ex.pc;
+        ++stats_.taken_control;
+        // This branch's own fetch-time event was fall-through speculation:
+        // cancel it (write-backs never applied) and remember the rollback.
+        if (id_ex.fetch_slot >= 0) {
+          if (rollback_to == nullptr) {
+            rollback_to = &fetch_ring_[id_ex.fetch_slot].before;
+          }
+          id_ex.fetch_slot = -1;
+        }
+      }
+    }
   }
 
   // ---------------- IF ----------------
@@ -326,18 +265,23 @@ void Pipeline::cycle() {
     if (triggers && config_.speculation == SpeculationPolicy::kGate &&
         control_in_flight) {
       ++stats_.gate_stalls;
-      if_id.valid = false;
+      if_id.op = &kBubble;
+      if_id.fetch_slot = -1;
     } else {
-      if_id.valid = true;
       if_id.pc = pc_;
-      if (image_.covers(pc_)) {
-        const std::size_t word = (pc_ - image_.base) / 4;
-        if_id.instr = image_.code[word];
-        if_id.hz = image_hazards_[word];
+      // Rotating the byte offset moves a misaligned PC's low bits to the
+      // top, so one compare rejects PCs below, past and between the words.
+      const std::uint32_t word = std::rotr(pc_ - image_.base, 2);
+      if (word < image_words_) {
+        if_id.op = &image_ops_[word];
+        if_id.instr = &image_.code[word];
       } else {
-        if_id.instr = isa::decode(mem_.fetch32(pc_));
-        if_id.hz = isa::hazard_info(if_id.instr);
+        const OffImageWord& w = fetch_off_image(pc_);
+        if_id.op = &w.op;
+        if_id.instr = &w.instr;
       }
+      next_pc = pc_ + 4;
+      if_id.fetch_slot = -1;
       if (triggers) {
         // Every older live event came from the old IF/ID or ID/EX latch
         // (kFetchRing), so round-robin allocation must miss both slots.
@@ -345,16 +289,12 @@ void Pipeline::cycle() {
         fetch_next_ = (fetch_next_ + 1) % kFetchRing;
         ZS_ASSERT(slot != old_idex_slot && slot != old_ifid_slot);
         FetchInfo& fi = fetch_ring_[slot];
-        fi.before = accel_->snapshot();
-        auto event = accel_->on_fetch(pc_);
-        ZS_ASSERT(event.has_value());
-        fi.event = std::move(*event);
+        accel_->snapshot(fi.before);
+        const bool fired = accel_->on_fetch(pc_, fi.event);
+        ZS_ASSERT(fired);
         ++stats_.zolc_fetch_events;
-        next_pc = fi.event.redirect.value_or(pc_ + 4);
+        if (fi.event.redirect) next_pc = *fi.event.redirect;
         if_id.fetch_slot = slot;
-      } else {
-        next_pc = pc_ + 4;
-        if_id.fetch_slot = -1;
       }
     }
   }
@@ -364,12 +304,12 @@ void Pipeline::cycle() {
     // Determine the oldest wrong-path ZOLC event and restore its snapshot.
     // Priority (oldest first): the branch's own event (already captured in
     // rollback_to), then the squashed old IF/ID instruction (EX resolution
-    // only), then this cycle's squashed fetch (IF/ID is valid here only if
+    // only), then this cycle's squashed fetch (IF/ID is live here only if
     // IF fetched: a redirect implies no stall).
     if (rollback_to == nullptr && redirect_from_ex && old_ifid_slot >= 0) {
       rollback_to = &fetch_ring_[old_ifid_slot].before;
     }
-    if (rollback_to == nullptr && if_id.valid && if_id.fetch_slot >= 0) {
+    if (rollback_to == nullptr && if_id.fetch_slot >= 0) {
       rollback_to = &fetch_ring_[if_id.fetch_slot].before;
     }
     if (rollback_to != nullptr) {
@@ -378,26 +318,29 @@ void Pipeline::cycle() {
       ++stats_.zolc_rollbacks;
     }
     // Resolution-time ZOLC hook (candidate exits / entries).
-    if (accel_ != nullptr) {
-      if (auto resolution =
-              accel_->on_taken_control(resolved_pc, redirect_target)) {
-        ++stats_.zolc_resolution_events;
-        for (const RfWrite& w : resolution->rf_writes) {
-          regs_.write(w.reg, w.value);
-        }
+    if (accel_ != nullptr &&
+        accel_->on_taken_control(resolved_pc, redirect_target, resolution_)) {
+      ++stats_.zolc_resolution_events;
+      for (const RfWrite& w : resolution_.rf_writes) {
+        regs_.write(w.reg, w.value);
       }
     }
     // Squash wrong-path slots (this cycle's fetch, plus -- for EX
     // resolution -- the instruction that was in ID; ID/EX is already empty
     // then because ID was skipped).
-    if (if_id.valid) ++stats_.control_flush_slots;
-    if_id.valid = false;
-    if (redirect_from_ex && old_ifid_valid) ++stats_.control_flush_slots;
+    if (if_id.op != &kBubble) ++stats_.control_flush_slots;
+    if_id.op = &kBubble;
+    if_id.fetch_slot = -1;
+    if (redirect_from_ex && old_ifid_live) ++stats_.control_flush_slots;
     next_pc = redirect_target;
   }
 
   pc_ = next_pc;
   ++stats_.cycles;
+}
+
+void Pipeline::cycle() {
+  if (!halted_) step();
 }
 
 std::uint64_t Pipeline::run(std::uint64_t max_cycles) {
@@ -407,7 +350,7 @@ std::uint64_t Pipeline::run(std::uint64_t max_cycles) {
       throw SimError("pipeline cycle limit (" + std::to_string(max_cycles) +
                      ") exceeded at pc " + hex32(pc_));
     }
-    cycle();
+    step();
     ++consumed;
   }
   return consumed;

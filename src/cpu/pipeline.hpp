@@ -12,13 +12,18 @@
 //     avoided entirely by stalling fetch while control flow is unresolved
 //     (kGate policy, costs cycles; used for the ablation study).
 //
-// Simulation structure: cycle() updates the latches in place, in stage
-// order WB -> MEM -> EX -> ID -> IF, so each stage consumes its input latch
-// before the younger stage overwrites it; the handful of previous-cycle
-// values a later stage still needs are saved at the top of the cycle.
-// Fetch-time ZOLC events live in a 4-slot ring and the latches carry slot
-// indices; hazard metadata (isa::HazardInfo) is computed once per code word
-// when an image is attached, or at fetch for off-image words.
+// Simulation structure (DESIGN.md section 7.4): cycle() updates the latches
+// in place, in stage order WB -> MEM -> EX -> ID -> IF, so each stage
+// consumes its input latch before the younger stage overwrites it; the
+// handful of previous-cycle values a later stage still needs are saved at
+// the top of the cycle. Each latch carries a PC and pointers to the word's
+// OpRecord and isa::Instruction: the per-word table built when an image is
+// attached, or a small ring of slots a fetch outside the image decodes
+// into. ID tests hazards against the record's source-register mask; EX
+// runs the record through the dispatch switch it shares with the ISS,
+// reading only the operands the op uses, each through the bypass network.
+// Fetch-time ZOLC events are written in place into a 4-slot ring and the
+// latches carry slot indices.
 #ifndef ZOLCSIM_CPU_PIPELINE_HPP
 #define ZOLCSIM_CPU_PIPELINE_HPP
 
@@ -73,6 +78,9 @@ struct PipelineStats {
 class Pipeline {
  public:
   explicit Pipeline(mem::Memory& memory, PipelineConfig config = {});
+  // The latches point into this object (its off-image ring).
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
 
   /// Attaches the loop controller (non-owning; may be nullptr).
   void set_accelerator(zolc::ZolcController* accel) noexcept {
@@ -80,9 +88,9 @@ class Pipeline {
   }
 
   /// Attaches a predecoded code image (non-owning; must outlive the
-  /// pipeline) and computes its per-word hazard metadata. Fetches inside the
+  /// pipeline) and builds one OpRecord per image word. Fetches inside the
   /// image skip the per-cycle decode; fetches outside it decode from memory
-  /// as before.
+  /// into an off-image ring slot.
   void set_code_image(isa::CodeImage image);
 
   /// Observer called at write-back for every retired instruction (program
@@ -118,43 +126,53 @@ class Pipeline {
   /// old IF/ID's, the old ID/EX's and this cycle's fetch.
   static constexpr std::uint8_t kFetchRing = 4;
 
-  struct IfId {
-    bool valid = false;
-    std::int8_t fetch_slot = -1;  ///< fetch_ring_ index, -1 = no event
-    std::uint32_t pc = 0;
+  /// A word fetched outside the image, decoded where the latches can point
+  /// at it until it retires.
+  struct OffImageWord {
     isa::Instruction instr;
-    isa::HazardInfo hz;
+    OpRecord op;
+  };
+
+  /// Off-image ring size. A fetch happens only in a cycle whose ID stage
+  /// passes its instruction on, and EX, MEM and WB never stall, so an
+  /// instruction retires or is squashed within three cycles of the next
+  /// fetch: at most four are in flight, this cycle's fetch included.
+  static constexpr std::uint8_t kOffImageRing = 4;
+
+  /// The record an empty latch points at: inert (no destination, no
+  /// sources, no flags), so stages read an empty latch's record without
+  /// testing for it first. A latch is empty iff its op is &kBubble.
+  static constexpr OpRecord kBubble{};
+
+  struct IfId {
+    const OpRecord* op = &kBubble;
+    const isa::Instruction* instr = nullptr;
+    std::uint32_t pc = 0;
+    std::int8_t fetch_slot = -1;  ///< fetch_ring_ index, -1 = no event
   };
 
   struct IdEx {
-    bool valid = false;
-    std::int8_t fetch_slot = -1;
+    const OpRecord* op = &kBubble;
+    const isa::Instruction* instr = nullptr;
     std::uint32_t pc = 0;
-    isa::Instruction instr;
-    isa::HazardInfo hz;
-    std::int32_t rs_val = 0;
-    std::int32_t rt_val = 0;
-    std::int32_t rd_val = 0;
+    std::int8_t fetch_slot = -1;
+    /// Under ID resolution, a control op's EX/MEM result, computed in ID
+    /// from the operands it resolved with.
+    std::int32_t id_result = 0;
   };
 
   struct ExMem {
-    bool valid = false;
-    std::uint8_t dest = 0;  ///< 0 = no register write
-    bool is_load = false;
-    bool is_store = false;
-    bool is_zolc = false;
+    const OpRecord* op = &kBubble;
+    const isa::Instruction* instr = nullptr;
     std::uint32_t pc = 0;
-    isa::Instruction instr;
-    std::int32_t alu = 0;
+    std::int32_t alu = 0;  ///< result, or the load/store address
     std::int32_t store_val = 0;
   };
 
   struct MemWb {
-    bool valid = false;
-    std::uint8_t dest = 0;
-    bool is_zolc = false;
+    const OpRecord* op = &kBubble;
+    const isa::Instruction* instr = nullptr;
     std::uint32_t pc = 0;
-    isa::Instruction instr;
     std::int32_t value = 0;
   };
 
@@ -165,16 +183,30 @@ class Pipeline {
     MemWb mem_wb;
   };
 
+  /// dispatch()'s engine: reads operands from the register file through
+  /// the EX/MEM bypass and records the result (pipeline.cpp).
+  struct Core;
+
+  /// One clock cycle; cycle() and run() both expand it in place.
+  void step();
+
+  /// Decodes the word at `pc` from memory into the next off-image slot.
+  const OffImageWord& fetch_off_image(std::uint32_t pc);
+
   mem::Memory& mem_;
   PipelineConfig config_;
   RegFile regs_;
   isa::CodeImage image_;
-  std::vector<isa::HazardInfo> image_hazards_;  ///< parallel to image_
+  std::vector<OpRecord> image_ops_;  ///< parallel to image_
+  std::uint32_t image_words_ = 0;    ///< image_ops_.size()
   zolc::ZolcController* accel_ = nullptr;
   RetireHook retire_hook_;
   Latches latches_;
   std::array<FetchInfo, kFetchRing> fetch_ring_;
   std::uint8_t fetch_next_ = 0;  ///< next fetch_ring_ slot to allocate
+  std::array<OffImageWord, kOffImageRing> off_image_;
+  std::uint8_t off_image_next_ = 0;  ///< next off_image_ slot to allocate
+  AccelEvent resolution_;  ///< the current resolution-time event, in place
   std::uint32_t pc_ = 0;
   bool halted_ = false;
   PipelineStats stats_;

@@ -445,15 +445,23 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
     RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
   Replay out;
   out.resume_pc = pc;
-  AccelSnapshot snap = zolc.snapshot();
-  if (!snap.active) return out;
+  if (!zolc.active()) return out;
   const NestProgram& np = zolc.nest_program();
-  if (snap.current_task >= np.tasks.size()) return out;
-  if (!np.tasks[snap.current_task].valid ||
-      pc > np.tasks[snap.current_task].end_pc) {
-    return out;
-  }
+  if (zolc.current_task() >= np.tasks.size()) return out;
+  const NestTaskDesc& first = np.tasks[zolc.current_task()];
+  if (!first.valid || pc > first.end_pc) return out;
   ++stats_.attempts;
+  // A recently rejected region stops the walk below at its first lookup:
+  // count that bailout without copying the controller state.
+  if (first.walk_safe) {
+    if (const CacheEntry* entry = recent_region(pc, first.end_pc);
+        entry != nullptr && entry->rejected) {
+      ++stats_.bailouts[idx(*entry->rejected)];
+      return out;
+    }
+  }
+  AccelSnapshot snap;
+  zolc.snapshot(snap);
 
   // Engagement-local copies of the controller's dynamic state. The entire
   // run below -- region passes, back-edges, boundary events, cascades --

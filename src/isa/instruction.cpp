@@ -30,20 +30,6 @@ bool is_control_flow(const Instruction& instr) {
   return info.is_cond_branch || info.is_jump;
 }
 
-HazardInfo hazard_info(const Instruction& instr) {
-  HazardInfo out;
-  if (!instr.valid()) return out;
-  const OpcodeInfo& info = opcode_info(instr.op);
-  out.info = &info;
-  out.srcs = source_regs(instr);
-  out.dest = dest_reg(instr).value_or(0);
-  out.is_control = info.is_cond_branch || info.is_jump;
-  out.is_load = info.is_load;
-  out.is_store = info.is_store;
-  out.is_zolc = info.is_zolc;
-  return out;
-}
-
 std::uint32_t branch_target(const Instruction& instr, std::uint32_t pc) {
   const OpcodeInfo& info = opcode_info(instr.op);
   ZS_EXPECTS(info.is_cond_branch);

@@ -1,5 +1,6 @@
 // Decoded instruction representation plus operand-access helpers used by the
-// executor, the pipeline hazard logic, and the CFG builder.
+// simulators' per-word records (cpu::predecode), the code generator, and the
+// CFG builder.
 #ifndef ZOLCSIM_ISA_INSTRUCTION_HPP
 #define ZOLCSIM_ISA_INSTRUCTION_HPP
 
@@ -45,33 +46,6 @@ struct SourceRegs {
 
 /// True iff the instruction can redirect control flow (branch or jump).
 [[nodiscard]] bool is_control_flow(const Instruction& instr);
-
-/// Everything the pipeline's hazard and control logic asks of an
-/// instruction every cycle, computed once per code word so the hot loop
-/// never re-derives it. An invalid instruction gets the inert default: no
-/// metadata record, no sources, no destination, no flags.
-struct HazardInfo {
-  const OpcodeInfo* info = nullptr;  ///< nullptr iff the instruction is invalid
-  SourceRegs srcs;
-  std::uint8_t dest = 0;  ///< dest_reg() value; 0 = writes no register
-  bool is_control = false;
-  bool is_load = false;
-  bool is_store = false;
-  bool is_zolc = false;
-
-  /// True iff the instruction reads `reg`; reg 0 (no destination) never
-  /// matches.
-  [[nodiscard]] bool reads(std::uint8_t reg) const noexcept {
-    if (reg == 0) return false;
-    for (std::uint8_t i = 0; i < srcs.count; ++i) {
-      if (srcs.regs[i] == reg) return true;
-    }
-    return false;
-  }
-};
-
-/// Computes `instr`'s hazard metadata (through the checked opcode_info).
-[[nodiscard]] HazardInfo hazard_info(const Instruction& instr);
 
 /// For PC-relative branches: the byte target given the branch's own PC.
 /// Precondition: instr is a conditional branch or dbne.

@@ -229,10 +229,11 @@ std::uint32_t ZolcController::ofs_to_pc(std::uint16_t ofs) const noexcept {
   return base_ + (static_cast<std::uint32_t>(ofs) << 2);
 }
 
-std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
-  if (!will_trigger(pc)) return std::nullopt;
+bool ZolcController::on_fetch(std::uint32_t pc, AccelEvent& ev) {
+  if (!will_trigger(pc)) return false;
 
-  AccelEvent ev;
+  ev.redirect.reset();
+  ev.rf_writes.clear();
   if (variant_ == ZolcVariant::kMicro) {
     const std::int32_t next = micro_.current + micro_.step;
     if (cond_holds(micro_.cond, next, micro_.final)) {
@@ -247,7 +248,7 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
       ev.rf_writes.push_back(RfWrite{micro_.index_rf, micro_.initial});
       ++stats_.done_events;
     }
-    return ev;
+    return true;
   }
 
   std::uint16_t ofs = 0;
@@ -293,7 +294,7 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
                                                        depth);
   }
   refresh_trigger();
-  return ev;
+  return true;
 }
 
 void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {
@@ -309,11 +310,12 @@ void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {
   }
 }
 
-std::optional<AccelEvent> ZolcController::on_taken_control(
-    std::uint32_t pc, std::uint32_t target) {
-  if (!active_ || variant_ != ZolcVariant::kFull) return std::nullopt;
+bool ZolcController::on_taken_control(std::uint32_t pc, std::uint32_t target,
+                                      AccelEvent& ev) {
+  if (!active_ || variant_ != ZolcVariant::kFull) return false;
 
-  AccelEvent ev;
+  ev.redirect.reset();
+  ev.rf_writes.clear();
   bool matched = false;
 
   // Candidate exits, scoped to the current task's controlling loop (the
@@ -347,13 +349,11 @@ std::optional<AccelEvent> ZolcController::on_taken_control(
     }
   }
 
-  if (!matched) return std::nullopt;
-  refresh_trigger();
-  return ev;
+  if (matched) refresh_trigger();
+  return matched;
 }
 
-cpu::AccelSnapshot ZolcController::snapshot() const {
-  cpu::AccelSnapshot s;
+void ZolcController::snapshot(cpu::AccelSnapshot& s) const {
   s.loop_count = static_cast<std::uint8_t>(loops_.size());
   for (unsigned i = 0; i < loops_.size(); ++i) {
     s.loop_current[i] = loops_[i].current;
@@ -361,7 +361,6 @@ cpu::AccelSnapshot ZolcController::snapshot() const {
   s.micro_current = micro_.current;
   s.current_task = current_task_;
   s.active = active_;
-  return s;
 }
 
 const cpu::NestProgram& ZolcController::nest_program() const {

@@ -94,6 +94,18 @@ class ZolcController {
   /// zoloff: leave active mode.
   void deactivate();
 
+  /// Executes one ZOLC instruction: a table write, zolon or zoloff (`op`),
+  /// with its table index / start task `idx` and GPR rs value `value`.
+  void execute(isa::Opcode op, std::uint8_t idx, std::uint32_t value) {
+    if (op == isa::Opcode::kZolOn) {
+      activate(idx, value);
+    } else if (op == isa::Opcode::kZolOff) {
+      deactivate();
+    } else {
+      init_write(op, idx, value);
+    }
+  }
+
   /// Would on_fetch(pc) produce an event? One compare against the latched
   /// task-end comparator (uZOLC: its end PC). Used by the simulators to
   /// skip snapshots on the common path and by the fetch-gating policy.
@@ -103,17 +115,43 @@ class ZolcController {
 
   /// Fetch-time event ("PC decode" side): if `pc` ends the current task,
   /// performs the task switch (including combinational cascades across
-  /// shared nest boundaries) and returns the redirect + index write-backs.
-  std::optional<cpu::AccelEvent> on_fetch(std::uint32_t pc);
+  /// shared nest boundaries), overwrites `ev` with the redirect + index
+  /// write-backs and returns true; otherwise returns false with `ev`
+  /// untouched. Allocation-free: the engines pass the slot the event rides
+  /// in.
+  bool on_fetch(std::uint32_t pc, cpu::AccelEvent& ev);
+
+  /// on_fetch() returning the event by value (nullopt: no event).
+  std::optional<cpu::AccelEvent> on_fetch(std::uint32_t pc) {
+    std::optional<cpu::AccelEvent> ev(std::in_place);
+    if (!on_fetch(pc, *ev)) ev.reset();
+    return ev;
+  }
 
   /// Resolution-time event: a taken branch/jump at `pc` targeting `target`.
   /// Matches candidate exit records (loop break-outs) and entry records
-  /// (multi-entry loops); returns reinit write-backs when one matches.
-  std::optional<cpu::AccelEvent> on_taken_control(std::uint32_t pc,
-                                                  std::uint32_t target);
+  /// (multi-entry loops). Returns true iff one matches, with `ev`
+  /// overwritten by the reinit write-backs; otherwise `ev` carries nothing
+  /// the caller may read.
+  bool on_taken_control(std::uint32_t pc, std::uint32_t target,
+                        cpu::AccelEvent& ev);
 
-  /// Active-mode state for speculative fetch events and their rollback.
-  [[nodiscard]] cpu::AccelSnapshot snapshot() const;
+  /// on_taken_control() returning the event by value (nullopt: no match).
+  std::optional<cpu::AccelEvent> on_taken_control(std::uint32_t pc,
+                                                  std::uint32_t target) {
+    std::optional<cpu::AccelEvent> ev(std::in_place);
+    if (!on_taken_control(pc, target, *ev)) ev.reset();
+    return ev;
+  }
+
+  /// Active-mode state for speculative fetch events and their rollback,
+  /// written into `out` in place (only the live loop entries).
+  void snapshot(cpu::AccelSnapshot& out) const;
+  [[nodiscard]] cpu::AccelSnapshot snapshot() const {
+    cpu::AccelSnapshot s;
+    snapshot(s);
+    return s;
+  }
   void restore(const cpu::AccelSnapshot& snapshot);
 
   // ---- summary tier ----

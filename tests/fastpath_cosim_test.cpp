@@ -136,6 +136,31 @@ TEST(FastPathCosim, PaperSuiteMatchesBaselineOnEveryMachine) {
   EXPECT_GT(micro_replayed, 0u);
 }
 
+TEST(FastPathCosim, DeclinedRegionCountsEveryRetry) {
+  // On uZOLC each of these kernels' one region is declined, and every fetch
+  // redirect offers it again. Each offer counts one attempt and one bailout
+  // (the CLI and the BENCH artifact print both), and the tier stays
+  // invisible. vecmax's region is one the cache rejected, so its retries
+  // return before copying the controller state.
+  struct Pin {
+    const char* kernel;
+    std::uint64_t attempts;
+    BailoutReason reason;
+  };
+  for (const Pin pin : {Pin{"conv2d", 600, BailoutReason::kShortLoop},
+                        Pin{"vecmax", 63, BailoutReason::kControlFlow},
+                        Pin{"fft", 28, BailoutReason::kNonAffineUpdate}}) {
+    const kernels::Kernel* kernel = kernels::find_kernel(pin.kernel);
+    ASSERT_NE(kernel, nullptr) << pin.kernel;
+    const FastPathStats fast = cosim(*kernel, MachineKind::kUZolc);
+    EXPECT_EQ(fast.attempts, pin.attempts) << pin.kernel;
+    EXPECT_EQ(fast.engagements, 0u) << pin.kernel;
+    EXPECT_EQ(fast.replayed_instructions, 0u) << pin.kernel;
+    EXPECT_EQ(fast.bailout(pin.reason), pin.attempts) << pin.kernel;
+    EXPECT_EQ(fast.total_bailouts(), pin.attempts) << pin.kernel;
+  }
+}
+
 TEST(FastPathCosim, ExtendedSuiteMatchesBaselineOnDeepGeometries) {
   std::uint64_t replayed = 0;
   std::uint64_t engagements = 0;

@@ -3,6 +3,8 @@
 // capacity enforcement, and snapshot/rollback.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "cpu/exec.hpp"
 #include "zolc/controller.hpp"
 
@@ -527,6 +529,81 @@ TEST_F(FullTest, ReinitMaskOverInvalidLoopTraps) {
 TEST_F(FullTest, InactiveIgnoresRecords) {
   write_exit(0, 0, 103, 0, 0x1, true);
   EXPECT_FALSE(c.on_taken_control(pc_of(103), pc_of(300)).has_value());
+}
+
+// ---------------- event size bound ----------------
+
+/// Both forms of an event carry the same writes in the same order.
+void expect_same_event(const AccelEvent& in_place,
+                       const std::optional<AccelEvent>& wrapped) {
+  ASSERT_TRUE(wrapped.has_value());
+  EXPECT_EQ(in_place.redirect, wrapped->redirect);
+  ASSERT_EQ(in_place.rf_writes.size(), wrapped->rf_writes.size());
+  for (std::size_t i = 0; i < in_place.rf_writes.size(); ++i) {
+    EXPECT_EQ(in_place.rf_writes[i], wrapped->rf_writes[i]) << "write " << i;
+  }
+}
+
+TEST(EventBound, WorstCaseEventsFitInPlaceInWrapperOrder) {
+  // AccelEvent is trivially copyable (static_assert in cpu/accel.hpp): its
+  // RfWriteList has a fixed capacity, which the worst cases below fill.
+  // Geometry maximum: 32 loops, every task ending at the same PC, and one
+  // exit plus one entry record whose reinit masks name every loop.
+  ZolcGeometry geom;
+  geom.max_loops = cpu::kMaxAccelLoops;
+  geom.max_tasks = cpu::kMaxAccelLoops;
+  geom.pc_ofs_bits = 8;
+  ASSERT_TRUE(geom.valid());
+  ZolcController c(ZolcVariant::kFull, geom);
+  for (unsigned i = 0; i < geom.max_loops; ++i) {
+    // initial 0, final 1, step 1: the first event finds every loop done.
+    write_loop(c, i, 0, 1, 1, static_cast<std::uint8_t>(1 + i % 31));
+    TaskEntry t;
+    t.end_pc_ofs = 10;
+    t.loop_id = static_cast<std::uint8_t>(i);
+    t.next_task_cont = static_cast<std::uint8_t>(i);
+    t.next_task_done = static_cast<std::uint8_t>(i + 1);
+    t.is_last = i + 1 == geom.max_loops;
+    t.valid = true;
+    c.init_write(Opcode::kZolwTe, static_cast<std::uint8_t>(i), t.pack(geom));
+    c.init_write(Opcode::kZolwTs, static_cast<std::uint8_t>(i), 0);
+  }
+  ExitRecord exit;
+  exit.branch_pc_ofs = 5;
+  exit.next_task = 0;
+  exit.reinit_mask = 0xFFFF'FFFFu;
+  exit.valid = true;
+  c.init_write(Opcode::kZolwEx0, 0, exit.pack_lo(geom));
+  c.init_write(Opcode::kZolwEx1, 0, exit.pack_hi(geom));
+  EntryRecord entry;
+  entry.entry_pc_ofs = 3;
+  entry.next_task = 0;
+  entry.reinit_mask = 0xFFFF'FFFFu;
+  entry.valid = true;
+  c.init_write(Opcode::kZolwEn0, 0, entry.pack_lo(geom));
+  c.init_write(Opcode::kZolwEn1, 0, entry.pack_hi(geom));
+  c.activate(0, kBase);
+
+  // A twin in the same state answers through the by-value wrappers.
+  ZolcController twin(ZolcVariant::kFull, geom);
+  ASSERT_TRUE(twin.restore_context(c.save_context()).ok());
+
+  // A taken branch matching the exit record, landing on the entry record:
+  // both masks reinitialize every loop.
+  AccelEvent ev;
+  ASSERT_TRUE(c.on_taken_control(pc_of(5), pc_of(3), ev));
+  EXPECT_EQ(ev.rf_writes.size(), cpu::RfWriteList::kCapacity);
+  expect_same_event(ev, twin.on_taken_control(pc_of(5), pc_of(3)));
+
+  // The full done-cascade at the shared end PC, overwriting the same event.
+  ASSERT_TRUE(c.on_fetch(pc_of(10), ev));
+  EXPECT_EQ(ev.rf_writes.size(), std::size_t{cpu::kMaxAccelLoops});
+  EXPECT_FALSE(ev.redirect.has_value());  // the last task deactivates
+  expect_same_event(ev, twin.on_fetch(pc_of(10)));
+  EXPECT_FALSE(c.active());
+  EXPECT_EQ(c.zolc_stats().max_cascade_depth, cpu::kMaxAccelLoops);
+  EXPECT_TRUE(c.zolc_stats() == twin.zolc_stats());
+  EXPECT_TRUE(c.snapshot() == twin.snapshot());
 }
 
 }  // namespace
