@@ -1,8 +1,9 @@
 // Shared functional semantics: pure ALU evaluation, branch decisions,
 // load/store memory-op behaviour, the per-word execute record (OpRecord)
 // and the one opcode dispatch switch, used identically by the ISS (golden
-// model), the pipeline (ID and EX/MEM stages) and the loop summarizer, so
-// the simulators cannot diverge on instruction behaviour. Everything but
+// model), the pipeline (ID and EX/MEM stages) and the loop summarizer (its
+// region replay), so the simulators cannot diverge on instruction
+// behaviour. Everything but
 // the once-per-word builders (exec.cpp) is inline: it sits on a simulator
 // hot path.
 #ifndef ZOLCSIM_CPU_EXEC_HPP
@@ -223,6 +224,15 @@ template <isa::Opcode kOp>
     default:
       ZS_UNREACHABLE("branch_taken: not a conditional branch");
   }
+}
+
+/// Bytes a load or store opcode accesses, which is also its required
+/// alignment.
+[[nodiscard]] constexpr std::uint8_t access_bytes(isa::Opcode op) noexcept {
+  using O = isa::Opcode;
+  if (op == O::kLw || op == O::kSw) return 4;
+  if (op == O::kLh || op == O::kLhu || op == O::kSh) return 2;
+  return 1;
 }
 
 /// Performs the load described by `op` at byte address `addr` and returns

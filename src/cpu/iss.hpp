@@ -51,7 +51,8 @@ class Iss {
   void set_code_image(isa::CodeImage image);
 
   /// Enables the loop-summary fast path (DESIGN.md section 7): hardware-
-  /// managed innermost loops replay through pre-bound micro-ops instead of
+  /// managed loops replay region by region through the same OpRecords and
+  /// dispatch switch, with self-loops in closed form, instead of
   /// per-instruction stepping. Architecturally invisible; automatically
   /// disabled while a retire hook is attached (the hook must observe every
   /// instruction individually).

@@ -31,9 +31,10 @@ class RegFile {
     write(reg, static_cast<std::int32_t>(value));
   }
 
-  // Unchecked accessors for the ISS summary tier's replay loop: its
-  // pre-bound micro-ops and exported loop descriptors carry 5-bit register
-  // fields, so the precondition holds by construction.
+  // Unchecked accessors for the dispatch cores of the ISS, the pipeline and
+  // the loop summarizer: OpRecord fields and exported loop descriptors
+  // carry 5-bit register numbers, so the precondition holds by
+  // construction.
 
   [[nodiscard]] std::int32_t read_raw(unsigned reg) const noexcept {
     return regs_[reg];

@@ -1,7 +1,6 @@
 #include "cpu/summary.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/contracts.hpp"
 #include "cpu/exec.hpp"
@@ -12,37 +11,91 @@ namespace zolcsim::cpu {
 
 namespace {
 
-using isa::Format;
-using isa::Instruction;
 using isa::Opcode;
 
 constexpr std::size_t idx(BailoutReason reason) noexcept {
   return static_cast<std::size_t>(reason);
 }
 
-std::uint8_t access_width(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kSb:
-      return 1;
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kSh:
-      return 2;
-    case Opcode::kLw:
-    case Opcode::kSw:
-      return 4;
-    default:
-      ZS_UNREACHABLE("access_width: not a memory opcode");
-  }
+using detail::wrap_add;
+
+/// True iff the task `t`, entered at `pc`, replays in bulk: it loops onto
+/// itself from its body start, or its continue successor does so over the
+/// same loop and body (the per-level re-entry tasks a nest compiles to,
+/// whose first back-edge just renames the current task).
+bool bulk_eligible(const NestTaskDesc* tasks, std::uint8_t t,
+                   std::uint32_t pc) {
+  const NestTaskDesc& task = tasks[t];
+  if (pc != task.start_pc) return false;
+  if (task.cont == t) return true;
+  const NestTaskDesc& ct = tasks[task.cont];
+  return ct.valid && ct.walk_safe && ct.cont == task.cont &&
+         ct.loop == task.loop && ct.start_pc == task.start_pc &&
+         ct.end_pc == task.end_pc;
 }
 
-// The specialized micro-op kinds use alu_eval's own wrap-around helpers.
-using detail::wrap_add;
-using detail::wrap_mul;
+/// Back-edges `loop` still takes from index value `index`; -1 when the
+/// recurrence does not terminate.
+std::int64_t remaining_backedges(const NestLoopDesc& loop,
+                                 std::int32_t index) {
+  return index == loop.initial && loop.trips > 0
+             ? static_cast<std::int64_t>(loop.trips) - 1
+             : nest_remaining_backedges(index, loop.step, loop.final,
+                                        loop.cond);
+}
 
 }  // namespace
+
+/// dispatch()'s engine for a region pass: operands from the register file,
+/// memory through the ISS's own mem_load/mem_store, so MemoryStats and
+/// copy-on-write privatization come out exactly as under stepping. A load
+/// or store that must not run sets `bail` and changes nothing: a misaligned
+/// access (the baseline re-executes it and raises the precise MemoryFault)
+/// or a store into cached code. A region holds no branch, jump, ZOLC or
+/// halt op (analyze_body rejects them).
+struct LoopSummarizer::Core {
+  RegFile& regs;
+  mem::Memory& mem;
+  std::uint32_t code_lo;  ///< cached code span, as cache_lo_/cache_hi_
+  std::uint32_t code_hi;
+  std::vector<StoreRecord>* record;
+  const OpRecord* op = nullptr;
+  std::optional<BailoutReason> bail;
+
+  [[nodiscard]] std::int32_t rs() const { return regs.read_raw(op->rs); }
+  [[nodiscard]] std::int32_t rt() const { return regs.read_raw(op->rt); }
+  [[nodiscard]] std::int32_t rd() const { return regs.read_raw(op->rd); }
+  void write(std::uint8_t reg, std::int32_t value) {
+    regs.write_raw(reg, value);
+  }
+  template <Opcode kOp>
+  void load(std::uint8_t reg, std::uint32_t addr) {
+    if ((addr & (access_bytes(kOp) - 1u)) != 0) {
+      bail = BailoutReason::kTrap;
+      return;
+    }
+    write(reg, mem_load(kOp, mem, addr));
+  }
+  template <Opcode kOp>
+  void store(std::uint32_t addr, std::int32_t value) {
+    constexpr std::uint8_t kSize = access_bytes(kOp);
+    if ((addr & (kSize - 1u)) != 0) {
+      bail = BailoutReason::kTrap;
+      return;
+    }
+    // Conservative: the bounds cover the whole cached span.
+    if (addr <= code_hi + 3 && addr + kSize > code_lo) {
+      bail = BailoutReason::kSelfModifyingStore;
+      return;
+    }
+    if (record != nullptr) record->push_back({addr, kSize});
+    mem_store(kOp, mem, addr, value);
+  }
+  void branch(bool) { ZS_UNREACHABLE("summary region: branch"); }
+  void jump(std::uint32_t) { ZS_UNREACHABLE("summary region: jump"); }
+  void zolc() { ZS_UNREACHABLE("summary region: ZOLC instruction"); }
+  void halt() { ZS_UNREACHABLE("summary region: halt"); }
+};
 
 const char* bailout_reason_name(BailoutReason reason) {
   switch (reason) {
@@ -76,107 +129,48 @@ LoopSummarizer::CacheEntry LoopSummarizer::analyze_body(
     entry.rejected = BailoutReason::kTrap;
     return entry;
   }
-  BodyInfo& body = entry.body;
   // Registers with at least one non-self-affine write; such a register can
   // still be read, but disqualifies closed-form replay of any store whose
   // address it bases.
   std::uint32_t nonaffine_mask = 0;
   for (std::uint32_t p = body_start;; p += 4) {
-    const Instruction instr =
-        image.covers(p) ? image.at(p) : isa::decode(mem.fetch32(p));
-    if (!instr.valid()) {
+    const OpRecord op = predecode(
+        image.covers(p) ? image.at(p) : isa::decode(mem.fetch32(p)), p);
+    if (op.op == Opcode::kInvalid) {
       entry.rejected = BailoutReason::kTrap;
       return entry;
     }
-    const isa::OpcodeInfo& info = isa::opcode_info(instr.op);
-    if (info.is_zolc) {
+    if (op.zolc) {
       entry.rejected = BailoutReason::kAccelMutation;
       return entry;
     }
-    if (isa::is_control_flow(instr) || instr.op == Opcode::kHalt) {
+    if (op.control || op.op == Opcode::kHalt) {
       entry.rejected = BailoutReason::kControlFlow;
       return entry;
     }
-    Uop u;
-    u.op = instr.op;
-    u.rs = instr.rs;
-    u.rt = instr.rt;
-    u.shamt = instr.shamt;
-    u.imm = instr.imm;
-    switch (info.format) {
-      case Format::kR3:
-      case Format::kR3Acc:
-      case Format::kR2:
-      case Format::kR1:
-      case Format::kRShift:
-        u.dest = instr.rd;
-        switch (instr.op) {
-          case Opcode::kAdd:
-            u.kind = Uop::Kind::kAdd;
-            break;
-          case Opcode::kMac:
-            u.kind = Uop::Kind::kMac;
-            break;
-          case Opcode::kMax:
-            u.kind = Uop::Kind::kMax;
-            break;
-          case Opcode::kSll:
-            u.kind = Uop::Kind::kSll;
-            break;
-          case Opcode::kMul:
-            u.kind = Uop::Kind::kMul;
-            break;
-          default:
-            u.kind = Uop::Kind::kAlu;
-            break;
-        }
-        break;
-      case Format::kI:
-      case Format::kLui:
-        u.kind = instr.op == Opcode::kAddi ? Uop::Kind::kAddi
-                                           : Uop::Kind::kAluImm;
-        u.dest = instr.rt;
-        break;
-      case Format::kMem:
-        u.kind = info.is_load ? Uop::Kind::kLoad : Uop::Kind::kStore;
-        u.dest = instr.rt;
-        u.width = access_width(instr.op);
-        u.sign_extend =
-            instr.op == Opcode::kLb || instr.op == Opcode::kLh;
-        break;
-      default:
-        // Branches/jumps were rejected above; anything else left in the
-        // region (e.g. a stray no-format opcode) cannot be micro-op'd.
-        entry.rejected = BailoutReason::kControlFlow;
-        return entry;
-    }
-
-    const isa::SourceRegs srcs = isa::source_regs(instr);
-    for (std::uint8_t i = 0; i < srcs.count; ++i) {
-      body.reads_mask |= 1u << srcs.regs[i];
-    }
-    if (const auto dest = isa::dest_reg(instr)) {
-      body.writes_mask |= 1u << *dest;
-      if (instr.op == Opcode::kAddi && instr.rs == *dest) {
-        body.affine_delta[*dest] += instr.imm;
+    entry.reads_mask |= op.src_mask;
+    if (op.dest != 0) {
+      entry.writes_mask |= 1u << op.dest;
+      if (op.op == Opcode::kAddi && op.rs == op.dest) {
+        entry.affine_delta[op.dest] += op.imm;
       } else {
-        nonaffine_mask |= 1u << *dest;
+        nonaffine_mask |= 1u << op.dest;
       }
     }
-    if (u.kind == Uop::Kind::kStore) {
-      body.store_slots.push_back(static_cast<std::uint32_t>(body.uops.size()));
+    if (op.store) {
+      entry.store_slots.push_back(static_cast<std::uint32_t>(entry.ops.size()));
     }
-    body.uops.push_back(u);
+    entry.ops.push_back(op);
     if (p == body_end) break;
   }
   // A non-affine write poisons the affine delta too: the register's
   // per-iteration advance is no longer the sum of its addi immediates.
   for (unsigned r = 0; r < isa::kNumRegs; ++r) {
-    if ((nonaffine_mask >> r) & 1u) body.affine_delta[r] = 0;
+    if ((nonaffine_mask >> r) & 1u) entry.affine_delta[r] = 0;
   }
-  for (std::uint32_t slot : body.store_slots) {
-    const std::uint8_t base = body.uops[slot].rs;
-    if (((body.writes_mask >> base) & 1u) != 0 &&
+  for (std::uint32_t slot : entry.store_slots) {
+    const std::uint8_t base = entry.ops[slot].rs;
+    if (((entry.writes_mask >> base) & 1u) != 0 &&
         ((nonaffine_mask >> base) & 1u) != 0) {
       entry.bulk_rejected = BailoutReason::kNonAffineUpdate;
       break;
@@ -242,205 +236,37 @@ std::optional<BailoutReason> LoopSummarizer::check_recorded_iterations(
 }
 
 LoopSummarizer::RunOutcome LoopSummarizer::run_region(
-    const BodyInfo& body, mem::Memory& mem, RegFile& regs,
+    const CacheEntry& body, mem::Memory& mem, RegFile& regs,
     std::uint64_t passes, std::uint64_t edge_limit, std::uint8_t idx_reg,
     std::int32_t idx_step, std::int32_t* idx_val,
     std::vector<StoreRecord>* record, std::optional<BailoutReason>* bail) {
   RunOutcome out;
-  const Uop* const uops = body.uops.data();
-  const std::size_t n = body.uops.size();
-  // Access statistics are batched into one count_accesses() call so the
-  // raw-page accesses below leave MemoryStats exactly as read*/write*
-  // would have (misaligned accesses bail before they are counted, just as
-  // the throwing path counts nothing).
-  std::uint64_t reads = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes_written = 0;
+  const OpRecord* const ops = body.ops.data();
+  const std::size_t n = body.ops.size();
+  Core core{regs, mem, cache_lo_, cache_hi_, record, nullptr, std::nullopt};
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const Uop& u = uops[j];
-    switch (u.kind) {
-      case Uop::Kind::kAddi:
-        regs.write_raw(u.dest, wrap_add(regs.read_raw(u.rs), u.imm));
-        break;
-      case Uop::Kind::kAdd:
-        regs.write_raw(u.dest,
-                       wrap_add(regs.read_raw(u.rs), regs.read_raw(u.rt)));
-        break;
-      case Uop::Kind::kMac: {
-        const std::int32_t prod =
-            wrap_mul(regs.read_raw(u.rs), regs.read_raw(u.rt));
-        regs.write_raw(u.dest, wrap_add(regs.read_raw(u.dest), prod));
-        break;
-      }
-      case Uop::Kind::kMax: {
-        const std::int32_t a = regs.read_raw(u.rs);
-        const std::int32_t b = regs.read_raw(u.rt);
-        regs.write_raw(u.dest, a > b ? a : b);
-        break;
-      }
-      case Uop::Kind::kSll:
-        regs.write_raw(u.dest,
-                       static_cast<std::int32_t>(
-                           static_cast<std::uint32_t>(regs.read_raw(u.rt))
-                           << u.shamt));
-        break;
-      case Uop::Kind::kMul:
-        regs.write_raw(u.dest,
-                       wrap_mul(regs.read_raw(u.rs), regs.read_raw(u.rt)));
-        break;
-      case Uop::Kind::kAlu: {
-        AluInputs in;
-        in.a = regs.read_raw(u.rs);
-        in.b = regs.read_raw(u.rt);
-        in.acc = regs.read_raw(u.dest);
-        in.shamt = u.shamt;
-        regs.write_raw(u.dest, alu_eval(u.op, in));
-        break;
-      }
-      case Uop::Kind::kAluImm: {
-        AluInputs in;
-        in.a = regs.read_raw(u.rs);
-        in.b = u.imm;
-        regs.write_raw(u.dest, alu_eval(u.op, in));
-        break;
-      }
-      case Uop::Kind::kLoad: {
-        const auto addr =
-            static_cast<std::uint32_t>(regs.read_raw(u.rs) + u.imm);
-        if ((addr & (u.width - 1u)) != 0) {
-          // Resume at this instruction; the baseline re-executes it and
-          // raises the MemoryFault with its precise message.
-          *bail = BailoutReason::kTrap;
-          out.partial = j;
-          goto account;
-        }
-        ++reads;
-        bytes_read += u.width;
-        const std::uint32_t page_no = addr >> mem::Memory::kPageBits;
-        const std::uint8_t* page;
-        if (page_no == load_page_no_[0]) {
-          page = load_page_[0];
-        } else if (page_no == load_page_no_[1]) {
-          page = load_page_[1];
-        } else if (page_no == load_page_no_[2]) {
-          page = load_page_[2];
-        } else if (page_no == load_page_no_[3]) {
-          page = load_page_[3];
-        } else {
-          // Only resident pages are cached: a miss (nullptr) is re-looked
-          // up every time so a page materializing later is observed.
-          page = mem.peek_page(addr);
-          if (page == nullptr) {
-            regs.write_raw(u.dest, 0);
-            break;
-          }
-          load_page_no_[load_victim_] = page_no;
-          load_page_[load_victim_] = page;
-          load_victim_ = (load_victim_ + 1) & 3u;
-        }
-        const std::uint32_t ofs = addr & (mem::Memory::kPageSize - 1);
-        std::int32_t value = 0;
-        switch (u.width) {
-          case 1:
-            value = u.sign_extend ? static_cast<std::int8_t>(page[ofs])
-                                  : page[ofs];
-            break;
-          case 2: {
-            std::uint16_t v = 0;
-            std::memcpy(&v, page + ofs, 2);
-            value = u.sign_extend ? static_cast<std::int16_t>(v) : v;
-            break;
-          }
-          default: {
-            std::uint32_t v = 0;
-            std::memcpy(&v, page + ofs, 4);
-            value = static_cast<std::int32_t>(v);
-            break;
-          }
-        }
-        regs.write_raw(u.dest, value);
-        break;
-      }
-      case Uop::Kind::kStore: {
-        const auto addr =
-            static_cast<std::uint32_t>(regs.read_raw(u.rs) + u.imm);
-        if ((addr & (u.width - 1u)) != 0) {
-          *bail = BailoutReason::kTrap;
-          out.partial = j;
-          goto account;
-        }
-        // Bail before a store lands inside any summarized region: the
-        // cached micro-ops must never go stale. Conservative (the bounds
-        // cover the whole cached span), costs two compares per store.
-        if (addr <= cache_hi_ + 3 && addr + u.width > cache_lo_) {
-          *bail = BailoutReason::kSelfModifyingStore;
-          out.partial = j;
-          goto account;
-        }
-        if (record != nullptr) record->push_back({addr, u.width});
-        ++writes;
-        bytes_written += u.width;
-        const std::uint32_t page_no = addr >> mem::Memory::kPageBits;
-        if (page_no != store_page_no_) {
-          store_page_no_ = page_no;
-          store_page_ = mem.touch_page(addr);
-          // touch_page may have just privatized a copy-on-write baseline
-          // page; a load way still holding the baseline pointer for the
-          // same page would read pre-store data. Repoint it.
-          for (unsigned w = 0; w < 4; ++w) {
-            if (load_page_no_[w] == page_no) load_page_[w] = store_page_;
-          }
-          mem_epoch_ = mem.cow_epoch();
-        }
-        const std::uint32_t ofs = addr & (mem::Memory::kPageSize - 1);
-        const auto uv = static_cast<std::uint32_t>(regs.read_raw(u.rt));
-        switch (u.width) {
-          case 1:
-            store_page_[ofs] = static_cast<std::uint8_t>(uv);
-            break;
-          case 2: {
-            const auto v = static_cast<std::uint16_t>(uv);
-            std::memcpy(store_page_ + ofs, &v, 2);
-            break;
-          }
-          default:
-            std::memcpy(store_page_ + ofs, &uv, 4);
-            break;
-        }
-        break;
+    for (std::size_t j = 0; j < n; ++j) {
+      core.op = &ops[j];
+      dispatch(ops[j], /*pc: no region op links*/ 0, core);
+      if (core.bail) [[unlikely]] {
+        *bail = core.bail;
+        out.partial = j;
+        return out;
       }
     }
+    ++out.passes;
+    if (out.passes <= edge_limit) {
+      // Fused back-edge: the hardware's continue event at the body's last
+      // instruction -- index recurrence applied; the redirect is implicit
+      // in the next pass starting over at the first op.
+      *idx_val = wrap_add(*idx_val, idx_step);
+      regs.write_raw(idx_reg, *idx_val);
+    }
   }
-  ++out.passes;
-  if (out.passes <= edge_limit) {
-    // Fused back-edge: the hardware's continue event at the body's last
-    // instruction -- index recurrence applied; the redirect is implicit in
-    // the next pass starting over at the first micro-op.
-    *idx_val = wrap_add(*idx_val, idx_step);
-    regs.write_raw(idx_reg, *idx_val);
-  }
-  }
-account:
-  mem.count_accesses(reads, bytes_read, writes, bytes_written);
   return out;
 }
 
 LoopSummarizer::Replay LoopSummarizer::try_engage(
-    zolc::ZolcController& zolc, const isa::CodeImage& image, mem::Memory& mem,
-    RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
-  // Copy-on-write memories invalidate handed-out page pointers when a
-  // baseline page is privatized or the dirty set is reset; re-validate the
-  // page caches against the epoch before touching them.
-  if (mem.cow_epoch() != mem_epoch_) {
-    drop_page_cache();
-    mem_epoch_ = mem.cow_epoch();
-  }
-  return engage_nest(zolc, image, mem, regs, pc, max_instructions);
-}
-
-LoopSummarizer::Replay LoopSummarizer::engage_nest(
     zolc::ZolcController& zolc, const isa::CodeImage& image, mem::Memory& mem,
     RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
   Replay out;
@@ -451,14 +277,46 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
   const NestTaskDesc& first = np.tasks[zolc.current_task()];
   if (!first.valid || pc > first.end_pc) return out;
   ++stats_.attempts;
-  // A recently rejected region stops the walk below at its first lookup:
-  // count that bailout without copying the controller state.
-  if (first.walk_safe) {
-    if (const CacheEntry* entry = recent_region(pc, first.end_pc);
-        entry != nullptr && entry->rejected) {
-      ++stats_.bailouts[idx(*entry->rejected)];
-      return out;
+
+  const NestTaskDesc* const tasks = np.tasks.data();
+  const NestLoopDesc* const loops = np.loops.data();
+  // Why a bulk-eligible task over `body` cannot replay in closed form.
+  const auto bulk_decline =
+      [](const CacheEntry& body,
+         const NestLoopDesc& loop) -> std::optional<BailoutReason> {
+    if (loop.has_exit_records) return BailoutReason::kExitRecord;
+    if (((body.writes_mask >> loop.index_rf) & 1u) != 0 ||
+        body.bulk_rejected) {
+      return BailoutReason::kNonAffineUpdate;
     }
+    return std::nullopt;
+  };
+  const auto engages = [this](std::int64_t remaining) {
+    return remaining > 0 &&
+           static_cast<std::uint64_t>(remaining) >= min_backedges_;
+  };
+
+  // A first region that declines before running anything is decided from
+  // the cached region, the task's loop and the live index: count that
+  // bailout without copying the controller state.
+  std::optional<BailoutReason> decline;
+  if (!first.walk_safe) {
+    decline = BailoutReason::kTrap;
+  } else if (const CacheEntry& entry = region(pc, first.end_pc, image, mem);
+             entry.rejected) {
+    decline = entry.rejected;
+  } else if (bulk_eligible(tasks, zolc.current_task(), pc)) {
+    const NestLoopDesc& loop = loops[first.loop];
+    decline = bulk_decline(entry, loop);
+    const std::int64_t remaining =
+        remaining_backedges(loop, zolc.loop_index(first.loop));
+    if (!decline && remaining >= 0 && !engages(remaining)) {
+      decline = BailoutReason::kShortLoop;
+    }
+  }
+  if (decline) {
+    ++stats_.bailouts[idx(*decline)];
+    return out;
   }
   AccelSnapshot snap;
   zolc.snapshot(snap);
@@ -481,8 +339,6 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
   std::uint64_t max_depth = 0;
   std::optional<BailoutReason> bail;
 
-  const NestTaskDesc* const tasks = np.tasks.data();
-  const NestLoopDesc* const loops = np.loops.data();
   // Engagement-local direct-mapped region cache: a nest cycles through a
   // handful of regions, and this keeps their CacheEntry pointers (stable
   // map nodes) in locals, skipping the region() call on the steady state.
@@ -511,46 +367,27 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
       rkey[ri] = rk;
       rent[ri] = entry_p;
     }
-    CacheEntry& entry = *entry_p;
-    if (entry.rejected) {
-      bail = *entry.rejected;
+    const CacheEntry& body = *entry_p;
+    if (body.rejected) {
+      bail = *body.rejected;
       break;
     }
-    const BodyInfo& body = entry.body;
-    const std::size_t body_len = body.uops.size();
+    const std::size_t body_len = body.ops.size();
 
-    // A self-looping task from its body start replays in bulk: all its
-    // remaining passes run fused in run_region, back-edges included, with
-    // no boundary-event resolution until the final (done) iteration. A
-    // task whose continue successor self-loops over the same loop and body
-    // (the per-level re-entry tasks a nest compiles to) is equally
-    // bulk-eligible: its first back-edge just renames the current task.
+    // A bulk-eligible task replays all its remaining passes fused in
+    // run_region, back-edges included, with no boundary-event resolution
+    // until the final (done) iteration. The first region's declines were
+    // decided before the walk; mid-chain, a short loop (or a
+    // non-terminating recurrence) runs pass-by-pass below, the walk taking
+    // each back-edge.
     bool body_done = false;  // final pass already executed by the bulk path
-    bool self = task.cont == cur_task && cur_pc == task.start_pc;
-    if (!self && cur_pc == task.start_pc) {
-      const NestTaskDesc& ct = tasks[task.cont];
-      self = ct.valid && ct.walk_safe && ct.cont == task.cont &&
-             ct.loop == task.loop && ct.start_pc == task.start_pc &&
-             ct.end_pc == task.end_pc;
-    }
-    if (self) {
+    if (bulk_eligible(tasks, cur_task, cur_pc)) {
       const NestLoopDesc& loop = loops[task.loop];
-      if (loop.has_exit_records) {
-        bail = BailoutReason::kExitRecord;
-        break;
-      }
-      if (((body.writes_mask >> loop.index_rf) & 1u) != 0 ||
-          entry.bulk_rejected) {
-        bail = BailoutReason::kNonAffineUpdate;
-        break;
-      }
+      bail = bulk_decline(body, loop);
+      if (bail) break;
       const std::int64_t remaining =
-          cur[task.loop] == loop.initial && loop.trips > 0
-              ? static_cast<std::int64_t>(loop.trips) - 1
-              : nest_remaining_backedges(cur[task.loop], loop.step, loop.final,
-                                         loop.cond);
-      if (remaining > 0 &&
-          static_cast<std::uint64_t>(remaining) >= min_backedges_) {
+          remaining_backedges(loop, cur[task.loop]);
+      if (engages(remaining)) {
         const bool reads_index =
             ((body.reads_mask >> loop.index_rf) & 1u) != 0;
 
@@ -591,7 +428,7 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
           // take, for validating the recorded passes below.
           strides.clear();
           for (std::uint32_t slot : body.store_slots) {
-            const std::uint8_t base = body.uops[slot].rs;
+            const std::uint8_t base = body.ops[slot].rs;
             strides.push_back(base == loop.index_rf
                                   ? loop.step
                                   : body.affine_delta[base]);
@@ -653,12 +490,7 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
           break;
         }
         body_done = true;
-      } else if (remaining >= 0 && out.instructions == 0) {
-        bail = BailoutReason::kShortLoop;
-        break;
       }
-      // remaining < 0 (non-terminating recurrence) or a short loop reached
-      // mid-chain: run pass-by-pass, the walk taking each back-edge.
     }
 
     if (!body_done) {

@@ -1,17 +1,17 @@
 // Loop-summary fast path for the ISS (DESIGN.md section 7). When execution
 // lands inside a ZOLC-managed region, the LoopSummarizer takes over from
 // per-instruction stepping: against the controller's exported NestProgram
-// (every variant, uZOLC included, exports one) it decodes the straight-line
-// region between the current PC and the task's end PC into pre-bound
-// micro-ops, executes it in a tight loop, resolves the boundary event
+// (every variant, uZOLC included, exports one) it predecodes the
+// straight-line region between the current PC and the task's end PC into
+// one cpu::OpRecord per word, runs it through the same cpu::dispatch switch
+// and the same mem::Memory accesses as the ISS, resolves the boundary event
 // inline, and follows the redirect into the next region. A self-looping
 // task replays in bulk: the first two iterations record and validate the
 // store pattern, then the remaining iterations run fused with the index
 // recurrence applied in closed form -- no per-iteration event at all. The
 // final controller state is written back once. Replay is architecturally
-// invisible: micro-ops reuse the exact alu_eval / mem_load / mem_store
-// semantics and every disqualifying event bails out to cycle-accurate mode
-// at an exact instruction boundary with a typed BailoutReason surfaced as a
+// invisible: every disqualifying event bails out to cycle-accurate mode at
+// an exact instruction boundary with a typed BailoutReason surfaced as a
 // counter.
 #ifndef ZOLCSIM_CPU_SUMMARY_HPP
 #define ZOLCSIM_CPU_SUMMARY_HPP
@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "cpu/accel.hpp"
+#include "cpu/exec.hpp"
 #include "cpu/regfile.hpp"
 #include "isa/code_image.hpp"
-#include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 
 namespace zolcsim::cpu {
@@ -102,8 +102,12 @@ class LoopSummarizer {
   /// PC; then alternates closed-form replay of self-looping tasks with
   /// chained region execution across boundary events, until a region
   /// disqualifies, the controller disarms, or `max_instructions` is
-  /// reached. Leaves registers, memory, and controller state exactly as
-  /// cycle-accurate stepping would at resume_pc.
+  /// reached. Every boundary event resolves inline on engagement-local
+  /// copies of the controller's dynamic state (no per-event controller
+  /// call); the final state is written back once through restore() and the
+  /// elided event counters are credited. Leaves registers, memory, and
+  /// controller state (ZolcStats included) exactly as cycle-accurate
+  /// stepping would at resume_pc.
   Replay try_engage(zolc::ZolcController& zolc, const isa::CodeImage& image,
                     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
                     std::uint64_t max_instructions);
@@ -121,15 +125,14 @@ class LoopSummarizer {
   [[nodiscard]] const FastPathStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = FastPathStats{}; }
 
-  /// Drops decoded regions, cached disqualifications, and raw page
-  /// pointers (call when the code image or program memory changes).
+  /// Drops predecoded regions and cached disqualifications (call when the
+  /// code image or program memory changes).
   void clear_cache() noexcept {
     cache_.clear();
     cache_lo_ = UINT32_MAX;
     cache_hi_ = 0;
     mru_key_[0] = mru_key_[1] = 0;
     mru_entry_[0] = mru_entry_[1] = nullptr;
-    drop_page_cache();
   }
 
   /// Minimum remaining back-edges required to engage closed-form replay on
@@ -141,51 +144,23 @@ class LoopSummarizer {
   }
 
  private:
-  /// A pre-bound micro-op: the region instruction with its operand routing
-  /// resolved, so replay is a flat switch with no decode or table lookups.
-  /// The hottest opcodes (addi/add/mac/max, word load/store) get dedicated
-  /// kinds; everything else dispatches through the shared alu_eval.
-  struct Uop {
-    enum class Kind : std::uint8_t {
-      kAlu,     ///< generic register-form op via alu_eval
-      kAluImm,  ///< generic immediate-form op via alu_eval
-      kAddi,
-      kAdd,
-      kMac,
-      kMax,
-      kSll,
-      kMul,
-      kLoad,
-      kStore,
-    };
-    Kind kind = Kind::kAlu;
-    isa::Opcode op = isa::Opcode::kInvalid;
-    std::uint8_t dest = 0;  ///< rd (register forms) or rt (imm/load forms)
-    std::uint8_t rs = 0;
-    std::uint8_t rt = 0;
-    std::uint8_t shamt = 0;
-    std::uint8_t width = 0;     ///< access bytes for kLoad / kStore
-    bool sign_extend = false;   ///< kLoad: sign- vs zero-extend
-    std::int32_t imm = 0;
-  };
+  /// dispatch()'s engine for a region pass (summary.cpp).
+  struct Core;
 
-  /// Decoded region plus the static dataflow facts qualification needs.
-  struct BodyInfo {
-    std::vector<Uop> uops;
-    std::vector<std::uint32_t> store_slots;  ///< uop indices of stores
-    std::uint32_t reads_mask = 0;   ///< registers any uop reads
-    std::uint32_t writes_mask = 0;  ///< registers any uop writes
-    /// Net per-iteration delta for registers written only by affine
-    /// self-increments (addi r, r, imm); zero for invariant registers.
-    std::array<std::int32_t, isa::kNumRegs> affine_delta{};
-  };
-
+  /// A predecoded region plus the static dataflow facts qualification
+  /// needs.
   struct CacheEntry {
-    std::optional<BailoutReason> rejected;  ///< region cannot run as uops
+    std::optional<BailoutReason> rejected;  ///< region cannot be replayed
     /// Region runs fine one pass at a time but cannot be replayed in
     /// closed form (a store base is neither invariant nor self-affine).
     std::optional<BailoutReason> bulk_rejected;
-    BodyInfo body;  ///< valid iff !rejected
+    std::vector<OpRecord> ops;  ///< one per word; valid iff !rejected
+    std::vector<std::uint32_t> store_slots;  ///< indices of stores in ops
+    std::uint32_t reads_mask = 0;   ///< registers any op reads
+    std::uint32_t writes_mask = 0;  ///< registers any op writes
+    /// Net per-iteration delta for registers written only by affine
+    /// self-increments (addi r, r, imm); zero for invariant registers.
+    std::array<std::int32_t, isa::kNumRegs> affine_delta{};
   };
 
   static CacheEntry analyze_body(std::uint32_t body_start,
@@ -197,51 +172,25 @@ class LoopSummarizer {
   CacheEntry& region(std::uint32_t start, std::uint32_t end,
                      const isa::CodeImage& image, const mem::Memory& mem);
 
-  /// The region [start, end] if it is one of the two most recently looked
-  /// up, else nullptr (no map probe, no analysis).
-  [[nodiscard]] const CacheEntry* recent_region(
-      std::uint32_t start, std::uint32_t end) const noexcept {
-    const std::uint64_t key = (static_cast<std::uint64_t>(start) << 32) | end;
-    for (unsigned way = 0; way < 2; ++way) {
-      if (mru_entry_[way] != nullptr && mru_key_[way] == key) {
-        return mru_entry_[way];
-      }
-    }
-    return nullptr;
-  }
-
-  /// Outcome of run_region: fully completed passes, plus the number of uops
-  /// executed into the bailed pass (the uop at `partial` did NOT execute).
+  /// Outcome of run_region: fully completed passes, plus the number of ops
+  /// executed into the bailed pass (the op at `partial` did NOT execute).
   struct RunOutcome {
     std::uint64_t passes = 0;
     std::size_t partial = 0;
   };
 
-  /// Executes up to `passes` back-to-back passes over `body` via micro-ops.
-  /// After each of the first `edge_limit` completed passes the fused
-  /// back-edge index write is applied: *idx_val += idx_step, written to
-  /// `idx_reg` (callers replaying an index-blind body pass edge_limit 0 and
-  /// land the final value themselves). `*bail` is set on a mid-pass
+  /// Executes up to `passes` back-to-back passes over `body` through
+  /// dispatch(). After each of the first `edge_limit` completed passes the
+  /// fused back-edge index write is applied: *idx_val += idx_step, written
+  /// to `idx_reg` (callers replaying an index-blind body pass edge_limit 0
+  /// and land the final value themselves). `*bail` is set on a mid-pass
   /// bailout. When `record` is non-null, store addresses of every pass are
-  /// appended to it. Memory goes through cached raw page pointers with the
-  /// access statistics accounted in one batch. Cache-line aligned: the
-  /// replay loop's speed otherwise shifts by about 10% with the size of
-  /// unrelated code linked before it (measured on the exec-scale8 ZOLCfull
-  /// iss-fast cells).
-  [[gnu::aligned(64)]] RunOutcome run_region(
-      const BodyInfo& body, mem::Memory& mem, RegFile& regs,
+  /// appended to it.
+  RunOutcome run_region(
+      const CacheEntry& body, mem::Memory& mem, RegFile& regs,
       std::uint64_t passes, std::uint64_t edge_limit, std::uint8_t idx_reg,
       std::int32_t idx_step, std::int32_t* idx_val,
       std::vector<StoreRecord>* record, std::optional<BailoutReason>* bail);
-
-  /// Summary execution against the controller's exported NestProgram: runs
-  /// regions and resolves every boundary event inline on engagement-local
-  /// copies of the controller's dynamic state (no per-event controller
-  /// call), then writes the final state back through restore() and credits
-  /// the elided event counters. Architecturally exact, including ZolcStats.
-  Replay engage_nest(zolc::ZolcController& zolc, const isa::CodeImage& image,
-                     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
-                     std::uint64_t max_instructions);
 
   std::uint64_t min_backedges_ = 2;
   FastPathStats stats_;
@@ -251,39 +200,12 @@ class LoopSummarizer {
   /// way 0 is the most recent.
   std::uint64_t mru_key_[2] = {0, 0};
   CacheEntry* mru_entry_[2] = {nullptr, nullptr};
-  /// Cached raw data pages (see mem::Memory::peek_page): four round-robin
-  /// load ways (a tiled body streams two input arrays plus an accumulator)
-  /// and the last store target. The load ways only hold resident pages, so
-  /// a page materializing later is still observed.
-  std::uint32_t load_page_no_[4] = {UINT32_MAX, UINT32_MAX, UINT32_MAX,
-                                    UINT32_MAX};
-  const std::uint8_t* load_page_[4] = {nullptr, nullptr, nullptr, nullptr};
-  std::uint32_t load_victim_ = 0;
-  std::uint32_t store_page_no_ = UINT32_MAX;
-  std::uint8_t* store_page_ = nullptr;
-  /// mem::Memory::cow_epoch() observed when the page caches were last
-  /// (re)filled. Copy-on-write memories bump their epoch when a baseline
-  /// page is privatized or reset_to_baseline() frees private pages; a
-  /// mismatch at engagement entry drops the cached page pointers above.
-  std::uint64_t mem_epoch_ = 0;
-
-  /// Drops only the raw page-pointer caches (keeps decoded regions, which
-  /// depend on the code image, not on data-page identity).
-  void drop_page_cache() noexcept {
-    for (unsigned w = 0; w < 4; ++w) {
-      load_page_no_[w] = UINT32_MAX;
-      load_page_[w] = nullptr;
-    }
-    load_victim_ = 0;
-    store_page_no_ = UINT32_MAX;
-    store_page_ = nullptr;
-  }
   /// Scratch buffers reused across engagements (allocation-free replay).
   std::vector<std::int64_t> scratch_strides_;
   std::vector<StoreRecord> scratch_rec_[2];
   /// Bounds of all cached executable regions: a store landing inside
   /// [cache_lo_, cache_hi_ + 3] bails out (kSelfModifyingStore) before
-  /// executing, so cached micro-ops can never go stale.
+  /// executing, so cached records can never go stale.
   std::uint32_t cache_lo_ = UINT32_MAX;
   std::uint32_t cache_hi_ = 0;
 };

@@ -25,11 +25,6 @@ std::optional<std::uint8_t> dest_reg(const Instruction& instr) {
   return dest;
 }
 
-bool is_control_flow(const Instruction& instr) {
-  const OpcodeInfo& info = opcode_info(instr.op);
-  return info.is_cond_branch || info.is_jump;
-}
-
 std::uint32_t branch_target(const Instruction& instr, std::uint32_t pc) {
   const OpcodeInfo& info = opcode_info(instr.op);
   ZS_EXPECTS(info.is_cond_branch);

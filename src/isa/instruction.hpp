@@ -44,9 +44,6 @@ struct SourceRegs {
 /// writes to $zero are architectural no-ops).
 [[nodiscard]] std::optional<std::uint8_t> dest_reg(const Instruction& instr);
 
-/// True iff the instruction can redirect control flow (branch or jump).
-[[nodiscard]] bool is_control_flow(const Instruction& instr);
-
 /// For PC-relative branches: the byte target given the branch's own PC.
 /// Precondition: instr is a conditional branch or dbne.
 [[nodiscard]] std::uint32_t branch_target(const Instruction& instr,

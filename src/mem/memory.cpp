@@ -49,10 +49,7 @@ std::uint8_t* Memory::privatize(std::uint32_t key) {
       PrivatePage{key, std::make_unique<std::uint8_t[]>(kPageSize),
                   slot->page});
   if (slot->page != nullptr) {
-    // Privatizing a baseline page invalidates read pointers handed out
-    // for it earlier; advertise that to pointer-caching consumers.
     std::memcpy(priv.data.get(), slot->page, kPageSize);
-    ++cow_epoch_;
   } else {
     std::memset(priv.data.get(), 0, kPageSize);
   }
@@ -88,7 +85,6 @@ void Memory::reset_to_baseline() {
     slot->owned = false;
   }
   private_.clear();
-  ++cow_epoch_;
 }
 
 bool operator==(const Memory& a, const Memory& b) {

@@ -13,7 +13,9 @@
 // 8.1). A view's index is seeded with the baseline's page pointers, so a
 // read through to a baseline page is one probe of the view's own index.
 // Reads never write the index: a const baseline is shared by concurrent
-// readers.
+// readers. No page pointer is handed out: every consumer, the loop
+// summarizer's replay included, accesses memory through read*/write*, so
+// access statistics and copy-on-write need no cooperation from callers.
 #ifndef ZOLCSIM_MEM_MEMORY_HPP
 #define ZOLCSIM_MEM_MEMORY_HPP
 
@@ -41,6 +43,8 @@ struct MemoryStats {
   std::uint64_t writes = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
+
+  friend bool operator==(const MemoryStats&, const MemoryStats&) = default;
 };
 
 class Memory {
@@ -152,50 +156,12 @@ class Memory {
     return slots_ ? std::size_t{mask_} + 1 : 0;
   }
 
-  /// Incremented whenever a raw page pointer handed out earlier may have
-  /// become invalid: a baseline page is privatized (the read pointer now
-  /// aliases stale data) or reset_to_baseline() frees private pages.
-  /// Consumers that cache peek_page()/touch_page() results across calls
-  /// (cpu::LoopSummarizer) must drop their caches when this changes.
-  [[nodiscard]] std::uint64_t cow_epoch() const noexcept { return cow_epoch_; }
-
   /// Content equality over the union of both memories' effective pages
   /// (private pages shadowing baseline pages); a page resident on one side
   /// only must be all-zero (absent memory reads as zero, so residency
   /// itself is not architectural state). Statistics are not compared. Used
   /// by co-simulation tests to compare full images.
   friend bool operator==(const Memory& a, const Memory& b);
-
-  // Raw page access for the ISS summary tier (cpu::LoopSummarizer), which
-  // caches the returned pointers across a replay. Without a baseline, pages
-  // are never moved or freed once allocated, so the pointers stay valid for
-  // the Memory's lifetime. With a baseline, peek_page() may return a
-  // baseline page that a later write shadows, and reset_to_baseline() frees
-  // private pages — both bump cow_epoch(), which caching consumers must
-  // check. These do no statistics accounting: callers batch the counts
-  // through count_accesses() so MemoryStats stay exact.
-
-  /// The resident page containing `addr` (private first, then baseline), or
-  /// nullptr when the page was never written (such memory reads as zero).
-  [[nodiscard]] const std::uint8_t* peek_page(std::uint32_t addr) const {
-    return page_for_read(addr);
-  }
-
-  /// The writable (private) page containing `addr`, allocated — and copied
-  /// from the baseline when one covers it — on first touch.
-  [[nodiscard]] std::uint8_t* touch_page(std::uint32_t addr) {
-    return page_for_write(addr);
-  }
-
-  /// Batch statistics accounting for accesses performed through raw pages.
-  void count_accesses(std::uint64_t reads, std::uint64_t bytes_read,
-                      std::uint64_t writes,
-                      std::uint64_t bytes_written) const noexcept {
-    stats_.reads += reads;
-    stats_.bytes_read += bytes_read;
-    stats_.writes += writes;
-    stats_.bytes_written += bytes_written;
-  }
 
  private:
   using Page = std::unique_ptr<std::uint8_t[]>;
@@ -281,7 +247,6 @@ class Memory {
   std::uint32_t used_ = 0;         ///< keyed slots
   std::vector<PrivatePage> private_;
   std::shared_ptr<const Memory> baseline_;
-  std::uint64_t cow_epoch_ = 0;
   mutable MemoryStats stats_;
 };
 

@@ -50,6 +50,12 @@ class ZolcController {
     return current_task_;
   }
   [[nodiscard]] const ZolcStats& zolc_stats() const noexcept { return stats_; }
+  /// Live index of loop `idx` as snapshot() reports it (uZOLC: its one
+  /// loop, idx 0). Precondition: idx < the variant's loop count.
+  [[nodiscard]] std::int32_t loop_index(unsigned idx) const noexcept {
+    return variant_ == ZolcVariant::kMicro ? micro_.current
+                                           : loops_[idx].current;
+  }
 
   /// Direct table access for tests and the loop-structure explorer example.
   [[nodiscard]] const TaskEntry& task(unsigned idx) const;

@@ -95,6 +95,9 @@ FastPathStats cosim(const kernels::Kernel& kernel, MachineKind machine,
   EXPECT_TRUE(fast.regs == base.regs) << label << ": register file diverged";
   EXPECT_TRUE(fast.workload.memory() == base.workload.memory())
       << label << ": memory image diverged";
+  EXPECT_TRUE(fast.workload.memory().stats() ==
+              base.workload.memory().stats())
+      << label << ": memory statistics diverged";
   EXPECT_EQ(fast.stats.instructions, base.stats.instructions) << label;
   EXPECT_EQ(fast.stats.taken_control, base.stats.taken_control) << label;
   EXPECT_EQ(fast.stats.zolc_fetch_events, base.stats.zolc_fetch_events)
@@ -358,7 +361,7 @@ TEST(FastPathBailouts, ShortLoopDeclinesBelowMinBackedges) {
 
 TEST(FastPathBailouts, ControlFlowInBodyDeclines) {
   // r5 = 1, so the branch never fires -- but its presence alone must keep
-  // the region out of the micro-op tier.
+  // the region out of the summary tier.
   std::vector<Instruction> prog;
   prog.push_back(b::addi(2, 0, 0));  // acc
   prog.push_back(b::addi(1, 0, 0));  // index
@@ -671,6 +674,114 @@ TEST(FastPathMicro, ReArmedRegionReplaysOnEveryEntry) {
   EXPECT_EQ(fast.fastpath.replayed_instructions,
             std::uint64_t{kEntries} * (kTrips - 1) * 4);
   EXPECT_EQ(fast.fastpath.total_bailouts(), 0u);
+}
+
+TEST(FastPathMicro, SubWordAccessesReplayExactly) {
+  // Every load and store width, on bytes and halves with the sign bit set,
+  // in a uZOLC self-loop that replays in closed form over a copy-on-write
+  // view. The output pointer crosses from one baseline page into the next
+  // mid-replay, and a look-ahead load reads that page through the baseline
+  // several passes before a store privatizes it; the read-backs after the
+  // stores must see the private copy.
+  constexpr std::uint16_t kStart = 28;
+  constexpr std::uint16_t kEnd = kStart + 19;
+  constexpr std::int16_t kTrips = 16;
+  constexpr std::uint32_t kIn = 0x4000;
+  constexpr std::uint32_t kOut = 0x5FC0;  // page 0x6000 is reached at pass 8
+  std::vector<Instruction> prog;
+  prog.push_back(b::addi(2, 0, 0));   // signed sum
+  prog.push_back(b::addi(13, 0, 0));  // unsigned sum
+  prog.push_back(b::addi(1, 0, 0));   // index
+  li32(prog, 7, kIn);
+  li32(prog, 14, kOut);
+  const auto micro = [&](zolc::MicroReg reg, std::uint32_t value) {
+    emit_table_write(prog, Opcode::kZolwU, static_cast<std::uint8_t>(reg),
+                     value);
+  };
+  micro(zolc::MicroReg::kInitial, 0);
+  micro(zolc::MicroReg::kFinal, kTrips);
+  micro(zolc::MicroReg::kStep, 1);
+  micro(zolc::MicroReg::kStartPc, kBase + 4 * kStart);
+  micro(zolc::MicroReg::kEndPc, kBase + 4 * kEnd);
+  micro(zolc::MicroReg::kCtrl, zolc::pack_micro_ctrl(1, LoopCond::kLt));
+  emit_activate(prog, 0);
+  ASSERT_EQ(prog.size(), kStart);
+  prog.push_back(b::lw(16, 64, 14));  // look-ahead, eight passes on
+  prog.push_back(b::lb(3, 0, 7));
+  prog.push_back(b::lbu(4, 1, 7));
+  prog.push_back(b::lh(5, 2, 7));
+  prog.push_back(b::lhu(6, 2, 7));
+  prog.push_back(b::lw(15, 0, 7));
+  prog.push_back(b::sb(3, 0, 14));
+  prog.push_back(b::sh(5, 2, 14));
+  prog.push_back(b::sw(15, 4, 14));
+  prog.push_back(b::lb(10, 0, 14));  // read back what this pass stored
+  prog.push_back(b::lhu(11, 2, 14));
+  prog.push_back(b::lw(12, 4, 14));
+  prog.push_back(b::add(2, 2, 10));
+  prog.push_back(b::add(2, 2, 11));
+  prog.push_back(b::add(2, 2, 12));
+  prog.push_back(b::add(2, 2, 16));
+  prog.push_back(b::add(13, 13, 4));
+  prog.push_back(b::add(13, 13, 6));
+  prog.push_back(b::addi(7, 7, 4));
+  prog.push_back(b::addi(14, 14, 8));  // end PC
+  ASSERT_EQ(prog.size(), kEnd + 1u);
+  prog.push_back(b::halt());
+
+  auto image = std::make_shared<mem::Memory>();
+  test::load_program(*image, kBase, prog);
+  std::vector<std::uint32_t> in(kTrips);
+  for (std::uint32_t i = 0; i < in.size(); ++i) {
+    in[i] = (0x0102'0304u * (i + 1)) | 0x8080'8080u;  // every byte negative
+  }
+  image->load_words(kIn, in);
+  std::vector<std::uint32_t> out(64);
+  for (std::uint32_t i = 0; i < out.size(); ++i) out[i] = 0xA5A5'0000u | i;
+  image->load_words(kOut - 64, out);  // baseline data on both output pages
+  const std::shared_ptr<const mem::Memory> baseline = image;
+
+  struct CowRun {
+    mem::Memory view;
+    cpu::IssStats stats;
+    cpu::RegFile regs;
+    FastPathStats fastpath;
+    zolc::ZolcStats zolc_stats;
+  };
+  const auto run = [&baseline](bool fast, CowRun& r) {
+    r.view.set_baseline(baseline);
+    ZolcController controller(ZolcVariant::kMicro);
+    cpu::Iss iss(r.view);
+    iss.set_accelerator(&controller);
+    iss.set_fast_path(fast);
+    iss.set_pc(kBase);
+    iss.run(2'000'000);
+    EXPECT_TRUE(iss.halted());
+    r.stats = iss.stats();
+    r.regs = iss.regs();
+    r.fastpath = iss.fastpath_stats();
+    r.zolc_stats = controller.zolc_stats();
+  };
+  CowRun base;
+  CowRun fast;
+  run(/*fast=*/false, base);
+  run(/*fast=*/true, fast);
+  EXPECT_TRUE(fast.regs == base.regs);
+  EXPECT_TRUE(fast.view == base.view);
+  EXPECT_TRUE(fast.stats == base.stats);
+  EXPECT_TRUE(fast.zolc_stats == base.zolc_stats);
+  EXPECT_TRUE(fast.view.stats() == base.view.stats());
+  EXPECT_EQ(fast.view.dirty_pages(), base.view.dirty_pages());
+  EXPECT_GT(fast.fastpath.engagements, 0u);
+  EXPECT_EQ(fast.fastpath.replayed_backedges, std::uint64_t{kTrips} - 1);
+  EXPECT_EQ(fast.fastpath.total_bailouts(), 0u);
+  // Sub-word values really were negative, and the baseline kept its bytes.
+  EXPECT_LT(base.regs.read(3), 0);
+  EXPECT_LT(base.regs.read(5), 0);
+  EXPECT_GT(base.regs.read(4), 127);
+  EXPECT_GT(base.regs.read(6), 32767);
+  EXPECT_EQ(baseline->read32(0x6004), 0xA5A5'0021u);
+  EXPECT_NE(fast.view.read32(0x6004), baseline->read32(0x6004));
 }
 
 // ---------------- part three: per-run statistics reset ----------------
